@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import maximal as mx
 from . import model, oracle
@@ -84,13 +83,6 @@ def _parse_window(text, n, clamp_nonnegative=False):
     return Window(tuple(bounds))
 
 
-def _kind(text):
-    try:
-        return MaximalKind(text)
-    except ValueError:
-        raise CliError(f"kind must be absolute or relative, got {text!r}") from None
-
-
 def _budget(args):
     if args.budget is not None:
         return args.budget
@@ -155,27 +147,9 @@ def _emit(args, profile, header, rows, query):
         writer.writerows(rows)
 
 
-def _enumerate_window_parallel(kind, window, profile, jobs):
-    """Residue branches are independent; gather per branch, emit in the
-    canonical order regardless of worker interleaving."""
-    targets, table = mx.branch_targets(kind, profile)
-    branches = list(range(1, profile.m)) + [None]
-
-    def one(i):
-        return list(mx._branch_in_window(table, profile, window, i, targets[i]))
-
-    if jobs <= 1:
-        for i in branches:
-            yield from one(i)
-        return
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for chunk in pool.map(one, branches):
-            yield from chunk
-
-
 def cmd_maximal(args):
     profile = _checked_profile(args.profile)
-    kind = _kind(args.kind)
+    kind = MaximalKind(args.kind)
     n = profile.n
     header = (
         [f"alpha_{k}" for k in range(1, n + 1)]
@@ -187,10 +161,8 @@ def cmd_maximal(args):
         elements = mx.enumerate_minimal_generating(kind, profile)
         query = {"command": "maximal", "kind": kind.value, "generating": True}
     else:
-        if args.window is None:
-            raise CliError("either --window or --generating is required")
         window = _parse_window(args.window, n)
-        elements = _enumerate_window_parallel(kind, window, profile, args.jobs)
+        elements = mx.enumerate_maximal_in_window(kind, window, profile)
         query = {
             "command": "maximal",
             "kind": kind.value,
@@ -202,81 +174,56 @@ def cmd_maximal(args):
 
 def cmd_count(args):
     profile = _checked_profile(args.profile)
-    print(mx.cardinality(_kind(args.kind), profile))
+    print(mx.cardinality(MaximalKind(args.kind), profile))
     return EXIT_OK
 
 
 def cmd_blocks(args):
     profile = _checked_profile(args.profile)
-    kind = _kind(args.kind)
+    kind = MaximalKind(args.kind)
     rows = [[k, c] for k, c in mx.block_counts(kind, profile).items()]
     _emit(args, profile, ["k", "count"], rows,
           {"command": "blocks", "kind": kind.value})
     return EXIT_OK
 
 
-def _scan_box(args, profile, keep):
+# command -> (verdicts kept, whether rows carry a verdict column)
+BOX_SCANS = {
+    "gaps": ((Verdict.GAP, Verdict.PURE_GAP), True),
+    "puregaps": ((Verdict.PURE_GAP,), False),
+    "semigroup": ((Verdict.MEMBER,), False),
+}
+
+
+def cmd_box(args):
+    profile = _checked_profile(args.profile)
+    keep, with_verdict = BOX_SCANS[args.command]
     box = _parse_window(args.box, profile.n, clamp_nonnegative=True)
+    header = [f"alpha_{k}" for k in range(1, profile.n + 1)]
+    if with_verdict:
+        header.append("verdict")
+    rows = []
     for alpha in box.points():
-        result = classify(alpha, profile)
-        if keep(result):
-            yield alpha, result
-
-
-def cmd_gaps(args):
-    profile = _checked_profile(args.profile)
-    n = profile.n
-    header = [f"alpha_{k}" for k in range(1, n + 1)] + ["verdict"]
-    rows = [
-        list(alpha) + [res.verdict.value]
-        for alpha, res in _scan_box(
-            args, profile, lambda r: r.verdict in (Verdict.GAP, Verdict.PURE_GAP)
-        )
-    ]
-    _emit(args, profile, header, rows, {"command": "gaps", "box": args.box})
+        verdict = classify(alpha, profile).verdict
+        if verdict in keep:
+            rows.append(list(alpha) + ([verdict.value] if with_verdict else []))
+    _emit(args, profile, header, rows, {"command": args.command, "box": args.box})
     return EXIT_OK
 
 
-def cmd_puregaps(args):
-    profile = _checked_profile(args.profile)
-    n = profile.n
-    header = [f"alpha_{k}" for k in range(1, n + 1)]
-    rows = [
-        list(alpha)
-        for alpha, _ in _scan_box(
-            args, profile, lambda r: r.verdict is Verdict.PURE_GAP
-        )
-    ]
-    _emit(args, profile, header, rows, {"command": "puregaps", "box": args.box})
-    return EXIT_OK
-
-
-def cmd_semigroup(args):
-    profile = _checked_profile(args.profile)
-    n = profile.n
-    header = [f"alpha_{k}" for k in range(1, n + 1)]
-    rows = [
-        list(alpha)
-        for alpha, _ in _scan_box(
-            args, profile, lambda r: r.verdict is Verdict.MEMBER
-        )
-    ]
-    _emit(args, profile, header, rows, {"command": "semigroup", "box": args.box})
-    return EXIT_OK
+# family -> (constructor, its options in call order)
+PRESETS = {
+    "separable": (model.preset_separable, ("m", "t", "places")),
+    "xabns": (model.preset_xabns, ("p", "a", "b", "nexp", "s", "places")),
+    "yns": (model.preset_yns, ("q", "nexp", "s", "places")),
+    "beelen-montanucci": (model.preset_beelen_montanucci, ("q", "nexp", "places")),
+}
 
 
 def cmd_preset(args):
+    make, options = PRESETS[args.family]
     try:
-        if args.family == "separable":
-            preset = model.preset_separable(args.m, args.t, args.places)
-        elif args.family == "xabns":
-            preset = model.preset_xabns(
-                args.p, args.a, args.b, args.nexp, args.s, args.places
-            )
-        elif args.family == "yns":
-            preset = model.preset_yns(args.q, args.nexp, args.s, args.places)
-        else:
-            preset = model.preset_beelen_montanucci(args.q, args.nexp, args.places)
+        preset = make(*(getattr(args, name) for name in options))
     except BadPreset as exc:
         raise CliError(str(exc)) from exc
     model.dump_profile(preset.profile, sys.stdout)
@@ -285,7 +232,7 @@ def cmd_preset(args):
 
 def cmd_oracle(args):
     profile = _checked_profile(args.profile)
-    kind = _kind(args.kind)
+    kind = MaximalKind(args.kind)
     window = _parse_window(args.window, profile.n)
     report = oracle.crosscheck_window(kind, window, profile, budget=_budget(args))
     doc = {
@@ -343,10 +290,13 @@ def build_parser():
 
     p = with_profile(sub.add_parser("maximal", help="enumerate maximal elements"))
     p.add_argument("--kind", required=True, choices=["absolute", "relative"])
-    p.add_argument("--window", help="per-coordinate lo:hi, comma-joined")
-    p.add_argument("--generating", action="store_true",
-                   help="emit the finite minimal generating set instead")
-    p.add_argument("--jobs", type=int, default=1)
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--window", help="per-coordinate lo:hi, comma-joined")
+    what.add_argument("--generating", action="store_true",
+                      help="emit the finite minimal generating set instead")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: output is always streamed "
+                   "serially in canonical order")
     with_format(p)
     p.set_defaults(func=cmd_maximal)
 
@@ -359,38 +309,18 @@ def build_parser():
     with_format(p)
     p.set_defaults(func=cmd_blocks)
 
-    for name, func in (
-        ("gaps", cmd_gaps),
-        ("puregaps", cmd_puregaps),
-        ("semigroup", cmd_semigroup),
-    ):
+    for name in BOX_SCANS:
         p = with_profile(sub.add_parser(name, help=f"list {name} in a box"))
         p.add_argument("--box", required=True, help="per-coordinate lo:hi")
         with_format(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_box)
 
     p = sub.add_parser("preset", help="emit a curve-family profile as JSON")
     fam = p.add_subparsers(dest="family", required=True)
-    f = fam.add_parser("separable")
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--t", type=int, required=True)
-    f.add_argument("--places", type=int, required=True)
-    f = fam.add_parser("xabns")
-    f.add_argument("--p", type=int, required=True)
-    f.add_argument("--a", type=int, required=True)
-    f.add_argument("--b", type=int, required=True)
-    f.add_argument("--nexp", type=int, required=True)
-    f.add_argument("--s", type=int, required=True)
-    f.add_argument("--places", type=int, required=True)
-    f = fam.add_parser("yns")
-    f.add_argument("--q", type=int, required=True)
-    f.add_argument("--nexp", type=int, required=True)
-    f.add_argument("--s", type=int, required=True)
-    f.add_argument("--places", type=int, required=True)
-    f = fam.add_parser("beelen-montanucci")
-    f.add_argument("--q", type=int, required=True)
-    f.add_argument("--nexp", type=int, required=True)
-    f.add_argument("--places", type=int, required=True)
+    for family, (_, options) in PRESETS.items():
+        f = fam.add_parser(family)
+        for name in options:
+            f.add_argument(f"--{name}", type=int, required=True)
     p.set_defaults(func=cmd_preset)
 
     p = with_profile(sub.add_parser("oracle", help="cross-check enumeration "

@@ -8,7 +8,9 @@ dead lattice point is ever visited.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 
 from .arith import BetaTable, ceil_div, floor_div
@@ -36,16 +38,7 @@ class Window:
 
     def points(self):
         """All lattice points, lexicographic."""
-
-        def rec(prefix, k):
-            if k == self.n:
-                yield tuple(prefix)
-                return
-            lo, hi = self.bounds[k]
-            for a in range(lo, hi + 1):
-                yield from rec(prefix + [a], k + 1)
-
-        yield from rec([], 0)
+        return product(*(range(lo, hi + 1) for lo, hi in self.bounds))
 
     def size(self) -> int:
         total = 1
@@ -88,22 +81,29 @@ def _sum_compositions(ranges, total):
         yield from rec([], 0, total)
 
 
+def _offsets(table, n, i):
+    """Per-coordinate residues t_k(i); zero on the m-multiples branch."""
+    return [0] * n if i is None else [table.t[(k, i)] for k in range(1, n + 1)]
+
+
+def _branch(m, offsets, ranges, i, target):
+    """Points m*j + offsets of one residue branch, over the j in the
+    per-coordinate ranges whose coordinate sum is the branch target."""
+    for js in _sum_compositions(ranges, target):
+        coords = tuple(m * j + off for j, off in zip(js, offsets))
+        yield MaximalElement(coords, i, js)
+
+
 def _branch_in_window(table, profile, window, i, target):
     """One residue branch (i = None for the m-multiples branch)."""
     m = profile.m
-    n = profile.n
-    offsets = [0] * n if i is None else [table.t[(k, i)] for k in range(1, n + 1)]
-    ranges = []
-    for k in range(n):
-        lo, hi = window.bounds[k]
-        ranges.append(
-            (ceil_div(lo - offsets[k], m), floor_div(hi - offsets[k], m))
-        )
-    if any(lo > hi for lo, hi in ranges):
-        return
-    for js in _sum_compositions(ranges, target):
-        coords = tuple(m * j + off for j, off in zip(js, offsets))
-        yield MaximalElement(coords=coords, residue=i, js=js)
+    offsets = _offsets(table, profile.n, i)
+    ranges = [
+        (ceil_div(lo - off, m), floor_div(hi - off, m))
+        for (lo, hi), off in zip(window.bounds, offsets)
+    ]
+    if all(lo <= hi for lo, hi in ranges):
+        yield from _branch(m, offsets, ranges, i, target)
 
 
 def branch_targets(kind: MaximalKind, profile, table: BetaTable = None):
@@ -138,27 +138,22 @@ def enumerate_minimal_generating(kind: MaximalKind, profile):
     n = profile.n
     for i in range(1, profile.m):
         target = targets[i]
-        if target < 0:
-            continue
-        ranges = [(0, target)] * n
-        offsets = [table.t[(k, i)] for k in range(1, n + 1)]
-        for js in _sum_compositions(ranges, target):
-            coords = tuple(profile.m * j + off for j, off in zip(js, offsets))
-            out.append(MaximalElement(coords=coords, residue=i, js=js))
+        if target >= 0:
+            offsets = _offsets(table, n, i)
+            out.extend(_branch(profile.m, offsets, [(0, target)] * n, i, target))
     return out
 
 
 def cardinality(kind: MaximalKind, profile) -> int:
     """|Upsilon(Q)| = sum over residues of C(beta(i) + rho, n - 1), with
-    C(a, b) = 0 whenever a < b (including negative a)."""
-    targets, table = branch_targets(kind, profile)
-    rho = kind.rho(profile.n)
-    total = 0
-    for i in range(1, profile.m):
-        a = table.beta[i] + rho
-        if a >= profile.n - 1:
-            total += comb(a, profile.n - 1)
-    return total
+    C(a, b) = 0 whenever a < b (including negative a).  A branch with
+    target k = beta(i) + 1 - n + rho >= 0 contributes C(k + n - 1, n - 1),
+    so the sum is taken block by block."""
+    n = profile.n
+    return sum(
+        comb(k + n - 1, n - 1) * count
+        for k, count in block_counts(kind, profile).items()
+    )
 
 
 def block_count(kind: MaximalKind, k: int, profile) -> int:
@@ -166,16 +161,11 @@ def block_count(kind: MaximalKind, k: int, profile) -> int:
     the block [km, (k+1)m) x [0, m)^{n-1} of the finite maximal set."""
     if k < 0:
         raise ValueError(f"block index must be >= 0, got {k}")
-    targets, _ = branch_targets(kind, profile)
-    return sum(1 for i in range(1, profile.m) if targets[i] == k)
+    return block_counts(kind, profile).get(k, 0)
 
 
 def block_counts(kind: MaximalKind, profile) -> dict:
     """All nonzero block counts, keyed by k."""
     targets, _ = branch_targets(kind, profile)
-    out = {}
-    for i in range(1, profile.m):
-        t = targets[i]
-        if t >= 0:
-            out[t] = out.get(t, 0) + 1
-    return dict(sorted(out.items()))
+    counts = Counter(targets[i] for i in range(1, profile.m) if targets[i] >= 0)
+    return dict(sorted(counts.items()))

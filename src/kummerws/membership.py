@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .arith import ceil_div, floor_div, per_coordinate_t, unique_t
 from .errors import IndexNotDistinguished
+from .model import RamificationProfile
 from .model import genus as profile_genus
 
 
@@ -88,25 +89,23 @@ def _maximality_sum(alpha, t: int, profile) -> int:
     return total
 
 
-def is_discrepancy_point(alpha, profile) -> bool:
-    """True iff the divisor of alpha is a discrepancy for every pair of
-    distinguished places: a common t exists and the ceiling/floor sum is 0."""
-    t = unique_t(alpha, profile)
-    return t is not None and _maximality_sum(alpha, t, profile) == 0
-
-
-def is_relative_discrepancy_point(alpha, profile) -> bool:
-    """Same test with target n - 2 (the relative maximality criterion)."""
-    t = unique_t(alpha, profile)
-    return t is not None and _maximality_sum(alpha, t, profile) == profile.n - 2
-
-
 def is_maximal_by_criterion(alpha, kind: MaximalKind, profile) -> bool:
     """Single entry point for both maximality flavors."""
     t = unique_t(alpha, profile)
     if t is None:
         return False
     return _maximality_sum(alpha, t, profile) == kind.rho(profile.n)
+
+
+def is_discrepancy_point(alpha, profile) -> bool:
+    """True iff the divisor of alpha is a discrepancy for every pair of
+    distinguished places: a common t exists and the ceiling/floor sum is 0."""
+    return is_maximal_by_criterion(alpha, MaximalKind.ABSOLUTE, profile)
+
+
+def is_relative_discrepancy_point(alpha, profile) -> bool:
+    """Same test with target n - 2 (the relative maximality criterion)."""
+    return is_maximal_by_criterion(alpha, MaximalKind.RELATIVE, profile)
 
 
 def single_place_gap_count(profile, place: int = 1) -> int:
@@ -116,23 +115,13 @@ def single_place_gap_count(profile, place: int = 1) -> int:
     By the classical gap theorem this must equal the genus; used as an
     independent cross-check of the ramification data.
     """
-    restricted = _SinglePlaceView(profile, place)
+    if not 1 <= place <= profile.n:
+        raise IndexNotDistinguished(f"place index {place} not in 1..{profile.n}")
+    # the chosen place moves to the front, as the only distinguished one
+    lams = list(profile.lambdas)
+    lams.insert(0, lams.pop(place - 1))
+    restricted = RamificationProfile(profile.m, lams, 1)
     g = profile_genus(profile)
     return sum(
         1 for a in range(0, 2 * g + 2) if ell_drop(1, (a,), restricted)
     )
-
-
-class _SinglePlaceView:
-    """Reindexed profile exposing one distinguished place as coordinate 1."""
-
-    def __init__(self, profile, place: int):
-        if not 1 <= place <= profile.n:
-            raise IndexNotDistinguished(
-                f"place index {place} not in 1..{profile.n}"
-            )
-        self.m = profile.m
-        lams = list(profile.lambdas)
-        lams.insert(0, lams.pop(place - 1))
-        self.lambdas = tuple(lams)
-        self.n = 1

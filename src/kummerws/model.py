@@ -102,7 +102,9 @@ def validate(profile: RamificationProfile) -> ValidationReport:
         err(f"labels length {len(profile.labels)} != r = {profile.r}")
     if profile.field_info is not None:
         p, q = profile.field_info
-        if profile.m % p == 0:
+        if p < 2:
+            err(f"characteristic p must be >= 2, got {p}")
+        elif profile.m % p == 0:
             err(f"characteristic p={p} divides m={profile.m}")
         if q < profile.n:
             warn(
@@ -162,17 +164,6 @@ def preset_separable(m: int, t: int, n: int) -> CurvePreset:
     return CurvePreset("separable", {"m": m, "t": t, "n": n}, profile)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _smallest_prime_factor(q: int) -> int:
     d = 2
     while d * d <= q:
@@ -180,6 +171,10 @@ def _smallest_prime_factor(q: int) -> int:
             return d
         d += 1
     return q
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and _smallest_prime_factor(p) == p
 
 
 def _is_prime_power(q: int) -> bool:
@@ -298,17 +293,36 @@ def profile_to_dict(profile: RamificationProfile) -> dict:
     return out
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _expect(value, kind, what):
+    # exact type match: bool is an int subclass, and a float would truncate
+    if type(value) is not kind:
+        raise ValueError(
+            f"malformed profile: {what} must be {_JSON_TYPES[kind]}, got {value!r}"
+        )
+    return value
+
+
 def profile_from_dict(data: dict) -> RamificationProfile:
+    """Read a profile from parsed JSON.  m, n, the lambdas and the field's
+    p and q must be JSON integers; any other shape raises ValueError."""
+    _expect(data, dict, "the profile")
     try:
-        m = int(data["m"])
-        lambdas = tuple(int(x) for x in data["lambdas"])
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed profile: {exc}") from None
-    labels = tuple(data["labels"]) if "labels" in data else None
-    field_info = None
-    if "field" in data:
-        field_info = (int(data["field"]["p"]), int(data["field"]["q"]))
+        m = _expect(data["m"], int, "m")
+        lambdas = _expect(data["lambdas"], list, "lambdas")
+        lambdas = tuple(_expect(x, int, "lambda") for x in lambdas)
+        n = _expect(data["n"], int, "n")
+        labels = field_info = None
+        if "labels" in data:
+            labels = _expect(data["labels"], list, "labels")
+            labels = tuple(_expect(x, str, "label") for x in labels)
+        if "field" in data:
+            field = _expect(data["field"], dict, "field")
+            field_info = (_expect(field["p"], int, "p"), _expect(field["q"], int, "q"))
+    except KeyError as exc:
+        raise ValueError(f"malformed profile: missing key {exc}") from None
     return RamificationProfile(
         m=m, lambdas=lambdas, n=n, labels=labels, field_info=field_info
     )

@@ -242,3 +242,38 @@ def test_stdin_profile(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(K1_JSON)))
     code, out, _ = run(capsys, "count", "-", "--kind", "absolute")
     assert (code, out.strip()) == (0, "1")
+
+
+def test_maximal_window_and_generating_exclude_each_other(capsys, k1_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["maximal", k1_path, "--kind", "absolute", "--generating",
+              "--window", "0:5,0:5"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+K1_FIELDS = '"m": 3, "lambdas": [1, 1, -2], "n": 2'
+
+
+@pytest.mark.parametrize("text", [
+    '{%s, "field": {}}' % K1_FIELDS,
+    '{%s, "field": [2, 3]}' % K1_FIELDS,
+    '{%s, "field": {"p": 0, "q": 4}}' % K1_FIELDS,
+    '{%s, "field": {"p": 2.0, "q": 4}}' % K1_FIELDS,
+    '{%s, "labels": 5}' % K1_FIELDS,
+    '{%s, "labels": [1, 2, 3]}' % K1_FIELDS,
+    '{"m": 1e400, "lambdas": [1, 1, -2], "n": 2}',
+    '{"m": 5.7, "lambdas": [1, 1, 1, -3], "n": 2}',
+    '{"m": true, "lambdas": [1, 1, -2], "n": 2}',
+    '{"m": 3, "lambdas": "111", "n": 2}',
+    '{"m": 3, "lambdas": [1, 1, "-2"], "n": 2}',
+    '{"m": 3, "lambdas": [1, 1, -2], "n": null}',
+    '[3, [1, 1, -2], 2]',
+])
+def test_malformed_profile_exits_cleanly(capsys, monkeypatch, text):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "validate", "-")
+    assert code in (1, 2)
+    assert "error:" in out + err
