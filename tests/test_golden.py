@@ -67,6 +67,7 @@ GOLDEN = [
     ("gaps {k2n3} --box=-2:4,0:4,0:4", 0, "e67b757bf6b52f12aed11c3a8a8c107e7fc8e6fdafe210d7e95701dc4a76689d"),
     ("puregaps {k2} --box 0:8,0:8", 0, "451027a0fd630a706209cc58e11354de10d157f1f15e6e108b046a2be71e4c72"),
     ("puregaps {k2} --box 0:8,0:8 --format json", 0, "3d15efb042d0a9bab1b0d6d89ebe9b80401982ce1601dec32b14215a0203bda0"),
+    ("puregaps {k2} --box 0:0,0:0 --format json", 0, "b0f7b76b90446a9f3977b33ee37e6dac144ab58ce275d507aa22c7cfe15ff9eb"),
     ("puregaps {bm} --box 0:12,0:12", 0, "820b5c012041831f39252b1e7ca8fbe071ea92bb8b16799f303bcad8b22a8f89"),
     ("semigroup {k2} --box 0:8,0:8", 0, "326ddedef2db67539ead12fd52d4da58f9e174d09eb932a3913dec2f9731790e"),
     ("semigroup {k2} --box 0:8,0:8 --format json", 0, "a387adaa2a6860f6369c102c2906536924884878d087e0ab97a22f6ccc010d29"),
