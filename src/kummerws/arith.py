@@ -1,8 +1,9 @@
 """Exact integer arithmetic underlying the semigroup criteria.
 
-Everything here is a pure function of Python integers (arbitrary
+Everything here is exact arithmetic on Python integers (arbitrary
 precision), so no overflow is possible even for large exponents or
-adversarial ramification data.
+adversarial ramification data.  The per-profile constants are compiled
+once, into a CompiledProfile, and shared by every query on the profile.
 
 Conventions: place indices k and residue indices i are 1-based, matching
 the usual mathematical indexing; lattice point coordinates are stored in
@@ -11,9 +12,11 @@ the usual mathematical indexing; lattice point coordinates are stored in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .errors import IndexNotDistinguished, ResidueOutOfRange
 
 
@@ -53,11 +56,40 @@ def t_of(k: int, i: int, profile) -> int:
     return (i * profile.lambdas[k - 1]) % profile.m
 
 
+class CompiledProfile:
+    """The constants of one profile's criteria, computed once: the
+    inverses lambda_k^-1 mod m at the distinguished places, the lambdas
+    grouped as (lambda, multiplicity), and the tail sums S(t)."""
+
+    __slots__ = ("m", "n", "head", "inverses", "groups", "tail", "_sums")
+
+    def __init__(self, profile):
+        m, n, lambdas = profile.m, profile.n, profile.lambdas
+        self.m, self.n, self.head = m, n, lambdas[:n]
+        self.inverses = tuple(mod_inverse(lam, m) for lam in self.head)
+        self.groups = tuple(Counter(lambdas).items())
+        self.tail = tuple(Counter(lambdas[n:]).items())
+        self._sums = {}
+
+    def tail_sum(self, t: int) -> int:
+        """S(t) = sum of floor(t*lambda/m) over the non-distinguished
+        places, memoised: the criteria only ask for t in 0..m-1."""
+        s = self._sums.get(t)
+        if s is None:
+            m = self.m
+            s = self._sums[t] = sum(c * (t * lam // m) for lam, c in self.tail)
+        return s
+
+
+def _beta(i: int, compiled) -> int:
+    m = compiled.m
+    return sum(c * -(-i * lam // m) for lam, c in compiled.groups) - 1
+
+
 def beta(i: int, profile) -> int:
     """The residue invariant sum(ceil(i*lambda_k / m) over all places) - 1."""
-    m = profile.m
-    _check_residue(i, m)
-    return sum(ceil_div(i * lam, m) for lam in profile.lambdas) - 1
+    _check_residue(i, profile.m)
+    return _beta(i, profile.compiled)
 
 
 def per_coordinate_t(i: int, alpha, profile) -> int:
@@ -67,41 +99,36 @@ def per_coordinate_t(i: int, alpha, profile) -> int:
     """
     if not 1 <= i <= profile.n:
         raise IndexNotDistinguished(f"coordinate index {i} not in 1..{profile.n}")
-    m = profile.m
-    inv = mod_inverse(profile.lambdas[i - 1], m)
-    return (-alpha[i - 1] * inv) % m
+    c = profile.compiled
+    return (-alpha[i - 1] * c.inverses[i - 1]) % c.m
 
 
 def unique_t(alpha, profile):
     """The common t solving alpha_k + t*lambda_k == 0 mod m at every
     distinguished coordinate, or None when the per-coordinate solutions
     disagree."""
-    t = per_coordinate_t(1, alpha, profile)
-    for k in range(2, profile.n + 1):
-        if per_coordinate_t(k, alpha, profile) != t:
-            return None
-    return t
+    c = profile.compiled
+    ts = {(-a * inv) % c.m for a, inv in zip(alpha, c.inverses)}
+    return ts.pop() if len(ts) == 1 else None
 
 
 @dataclass(frozen=True)
 class BetaTable:
-    """Precomputed beta(i) and t_k(i) for one profile, shared read-only
-    by the enumeration kernels."""
+    """beta(i) for every residue of one profile, shared read-only by the
+    enumeration kernels; beta[i] for i in 1..m-1, beta[0] is None."""
 
     m: int
-    beta: dict  # i -> beta(i)
-    t: dict  # (k, i) -> t_k(i)
+    beta: tuple
 
     @classmethod
     def build(cls, profile) -> "BetaTable":
         m = profile.m
-        betas = {i: beta(i, profile) for i in range(1, m)}
-        ts = {
-            (k, i): t_of(k, i, profile)
-            for k in range(1, profile.n + 1)
-            for i in range(1, m)
-        }
-        return cls(m=m, beta=betas, t=ts)
+        if m - 1 > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"beta table would hold {m - 1} residues (budget {DEFAULT_BUDGET})"
+            )
+        c = profile.compiled
+        return cls(m=m, beta=(None, *(_beta(i, c) for i in range(1, m))))
 
 
 def lambda_gcd(profile) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -133,16 +134,27 @@ def _maximal_rows(kind, elements, n):
 
 
 def _emit(args, profile, header, rows, query):
+    """Write the rows as CSV, or stream them as the JSON document that
+    json.dumps({"profile", "query", "results"}, indent=2) prints."""
+    rows = iter(rows)
+    first = next(rows, None)  # an error in it comes before any output
+    rows = itertools.chain(() if first is None else (first,), rows)
+    out = sys.stdout
     if args.format == "json":
-        results = [dict(zip(header, row)) for row in rows]
-        doc = {
-            "profile": model.profile_to_dict(profile),
-            "query": query,
-            "results": results,
-        }
-        print(json.dumps(doc, indent=2))
+        doc = {"profile": model.profile_to_dict(profile), "query": query,
+               "results": []}
+        head, end = json.dumps(doc, indent=2).rsplit("[]", 1)
+        # indent=2 puts each result at depth 2; with scalar values these
+        # separators give the same bytes from the C encoder
+        enc = json.JSONEncoder(separators=(",\n      ", ": "))
+        out.write(head + "[")
+        sep = "\n    {\n      "
+        for row in rows:
+            out.write(sep + enc.encode(dict(zip(header, row)))[1:-1] + "\n    }")
+            sep = ",\n    {\n      "
+        out.write(("]" if first is None else "\n  ]") + end + "\n")
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -202,11 +214,11 @@ def cmd_box(args):
     header = [f"alpha_{k}" for k in range(1, profile.n + 1)]
     if with_verdict:
         header.append("verdict")
-    rows = []
-    for alpha in box.points():
-        verdict = classify(alpha, profile).verdict
-        if verdict in keep:
-            rows.append(list(alpha) + ([verdict.value] if with_verdict else []))
+    rows = (
+        list(alpha) + ([verdict.value] if with_verdict else [])
+        for alpha in box.points()
+        if (verdict := classify(alpha, profile).verdict) in keep
+    )
     _emit(args, profile, header, rows, {"command": args.command, "box": args.box})
     return EXIT_OK
 

@@ -23,6 +23,9 @@ class InconsistentProfile(KummerError):
     negative genus)."""
 
 
+DEFAULT_BUDGET = 10**7  # work units a computation may spend by default
+
+
 class BudgetExceeded(KummerError):
-    """A brute-force scan would examine more candidate points than the
-    configured budget allows."""
+    """A computation would examine more candidate points, or build a
+    larger table, than the configured budget allows."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb
 
-from .arith import BetaTable, ceil_div, floor_div
+from .arith import BetaTable
 from .membership import MaximalKind
 
 
@@ -81,9 +81,11 @@ def _sum_compositions(ranges, total):
         yield from rec([], 0, total)
 
 
-def _offsets(table, n, i):
-    """Per-coordinate residues t_k(i); zero on the m-multiples branch."""
-    return [0] * n if i is None else [table.t[(k, i)] for k in range(1, n + 1)]
+def _offsets(profile, i):
+    """Per-coordinate residues t_k(i) = i*lambda_k mod m; zero on the
+    m-multiples branch."""
+    c = profile.compiled
+    return [0] * c.n if i is None else [i * lam % c.m for lam in c.head]
 
 
 def _branch(m, offsets, ranges, i, target):
@@ -94,36 +96,35 @@ def _branch(m, offsets, ranges, i, target):
         yield MaximalElement(coords, i, js)
 
 
-def _branch_in_window(table, profile, window, i, target):
+def _branch_in_window(profile, window, i, target):
     """One residue branch (i = None for the m-multiples branch)."""
     m = profile.m
-    offsets = _offsets(table, profile.n, i)
+    offsets = _offsets(profile, i)
     ranges = [
-        (ceil_div(lo - off, m), floor_div(hi - off, m))
+        (-((off - lo) // m), (hi - off) // m)
         for (lo, hi), off in zip(window.bounds, offsets)
     ]
     if all(lo <= hi for lo, hi in ranges):
         yield from _branch(m, offsets, ranges, i, target)
 
 
-def branch_targets(kind: MaximalKind, profile, table: BetaTable = None):
+def branch_targets(kind: MaximalKind, profile):
     """Per-branch coordinate-sum targets in j-space: residue i maps to
     beta(i) + 1 - n + rho, the m-multiples branch to rho."""
-    if table is None:
-        table = BetaTable.build(profile)
+    beta = BetaTable.build(profile).beta
     rho = kind.rho(profile.n)
-    targets = {i: table.beta[i] + 1 - profile.n + rho for i in range(1, profile.m)}
+    targets = {i: beta[i] + 1 - profile.n + rho for i in range(1, profile.m)}
     targets[None] = rho
-    return targets, table
+    return targets
 
 
 def enumerate_maximal_in_window(kind: MaximalKind, window: Window, profile):
     """All maximal elements of the chosen kind inside the window, as a
     deterministic stream: residue branches 1..m-1 then the m-multiples
     branch, lexicographic within each branch."""
-    targets, table = branch_targets(kind, profile)
+    targets = branch_targets(kind, profile)
     for i in list(range(1, profile.m)) + [None]:
-        yield from _branch_in_window(table, profile, window, i, targets[i])
+        yield from _branch_in_window(profile, window, i, targets[i])
 
 
 def enumerate_minimal_generating(kind: MaximalKind, profile):
@@ -133,13 +134,13 @@ def enumerate_minimal_generating(kind: MaximalKind, profile):
     The m-multiples branch never contributes (its all-positive solutions
     would need coordinate sum >= n > rho).
     """
-    targets, table = branch_targets(kind, profile)
+    targets = branch_targets(kind, profile)
     out = []
     n = profile.n
     for i in range(1, profile.m):
         target = targets[i]
         if target >= 0:
-            offsets = _offsets(table, n, i)
+            offsets = _offsets(profile, i)
             out.extend(_branch(profile.m, offsets, [(0, target)] * n, i, target))
     return out
 
@@ -166,6 +167,6 @@ def block_count(kind: MaximalKind, k: int, profile) -> int:
 
 def block_counts(kind: MaximalKind, profile) -> dict:
     """All nonzero block counts, keyed by k."""
-    targets, _ = branch_targets(kind, profile)
+    targets = branch_targets(kind, profile)
     counts = Counter(targets[i] for i in range(1, profile.m) if targets[i] >= 0)
     return dict(sorted(counts.items()))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .arith import ceil_div, floor_div, per_coordinate_t, unique_t
+from .arith import unique_t
 from .errors import IndexNotDistinguished
 from .model import RamificationProfile
 from .model import genus as profile_genus
@@ -36,18 +36,20 @@ class MaximalKind(enum.Enum):
         return 0 if self is MaximalKind.ABSOLUTE else n - 2
 
 
-def _criterion_sum(alpha, t: int, profile) -> int:
+def _criterion_sum(alpha, t: int, compiled) -> int:
     """sum floor((alpha_k + t*lambda_k)/m) over distinguished places
-    plus sum floor(t*lambda_k/m) over the rest."""
-    m = profile.m
-    n = profile.n
-    total = 0
-    for k, lam in enumerate(profile.lambdas):
-        if k < n:
-            total += floor_div(alpha[k] + t * lam, m)
-        else:
-            total += floor_div(t * lam, m)
+    plus S(t), the sum of floor(t*lambda_k/m) over the rest."""
+    m = compiled.m
+    total = compiled.tail_sum(t)
+    for a, lam in zip(alpha, compiled.head):
+        total += (a + t * lam) // m
     return total
+
+
+def _drop(alpha, k: int, compiled) -> bool:
+    """The drop test at the 0-based distinguished coordinate k."""
+    t = (-alpha[k] * compiled.inverses[k]) % compiled.m
+    return _criterion_sum(alpha, t, compiled) < 0
 
 
 def ell_drop(i: int, alpha, profile) -> bool:
@@ -55,8 +57,7 @@ def ell_drop(i: int, alpha, profile) -> bool:
     the i-th distinguished place is subtracted; valid for any alpha in Z^n."""
     if not 1 <= i <= profile.n:
         raise IndexNotDistinguished(f"coordinate index {i} not in 1..{profile.n}")
-    t_i = per_coordinate_t(i, alpha, profile)
-    return _criterion_sum(alpha, t_i, profile) < 0
+    return _drop(alpha, i - 1, profile.compiled)
 
 
 def classify(alpha, profile) -> Classification:
@@ -66,14 +67,13 @@ def classify(alpha, profile) -> Classification:
     inside N_0^n, where those notions are defined; non-members with a
     negative coordinate are tagged NonMemberOutsideBox.
     """
-    drops = frozenset(
-        i for i in range(1, profile.n + 1) if ell_drop(i, alpha, profile)
-    )
+    c = profile.compiled
+    drops = frozenset(k + 1 for k in range(c.n) if _drop(alpha, k, c))
     if not drops:
         return Classification(Verdict.MEMBER, drops)
     if any(a < 0 for a in alpha):
         return Classification(Verdict.NON_MEMBER_OUTSIDE_BOX, drops)
-    if len(drops) == profile.n:
+    if len(drops) == c.n:
         return Classification(Verdict.PURE_GAP, drops)
     return Classification(Verdict.GAP, drops)
 
@@ -83,10 +83,11 @@ def is_member(alpha, profile) -> bool:
 
 
 def _maximality_sum(alpha, t: int, profile) -> int:
+    """sum ceil(alpha_k/m) over distinguished places plus sum
+    floor(t*lambda_k/m) over all places: the criterion sum with each
+    alpha_k rounded up to a multiple of m."""
     m = profile.m
-    total = sum(ceil_div(alpha[k], m) for k in range(profile.n))
-    total += sum(floor_div(t * lam, m) for lam in profile.lambdas)
-    return total
+    return _criterion_sum([-(-a // m) * m for a in alpha], t, profile.compiled)
 
 
 def is_maximal_by_criterion(alpha, kind: MaximalKind, profile) -> bool:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
-from .arith import ceil_div, floor_div, lambda_gcd
+from .arith import CompiledProfile, lambda_gcd
 from .errors import BadPreset, InconsistentProfile
 
 MAX_PLACES = 10**6
@@ -34,6 +35,11 @@ class RamificationProfile:
     @property
     def r(self) -> int:
         return len(self.lambdas)
+
+    @cached_property
+    def compiled(self) -> CompiledProfile:
+        """The arithmetic of the criteria, compiled on first use."""
+        return CompiledProfile(self)
 
 
 @dataclass(frozen=True)
@@ -251,32 +257,6 @@ def preset_beelen_montanucci(q: int, n_exp: int, n: int) -> CurvePreset:
     )
     return CurvePreset(
         "beelen-montanucci", {"q": q, "n_exp": n_exp, "n": n}, profile
-    )
-
-
-# Family-specific closed forms for beta(i); each must agree with the
-# generic sum over the preset's lambdas (tested, never assumed).
-
-
-def separable_beta_closed_form(i: int, m: int, t: int) -> int:
-    return t - 1 - floor_div(t * i, m)
-
-
-def xy_family_beta_closed_form(i: int, q: int, d: int, m: int) -> int:
-    return (
-        q // d
-        + (q * (q - 1) // d) * ceil_div(i * (q + 1), m)
-        - floor_div(i * (q**3 // d), m)
-        - 1
-    )
-
-
-def bm_beta_closed_form(i: int, q: int, m: int) -> int:
-    return (
-        q + 1
-        + (q * q - q - 1) * ceil_div(i * (q + 1), m)
-        - floor_div(i * (q**3 - q), m)
-        - 1
     )
 
 

@@ -14,11 +14,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .arith import unique_t
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .maximal import Window, enumerate_maximal_in_window
 from .membership import MaximalKind, _maximality_sum, is_member
-
-DEFAULT_BUDGET = 10**7
 
 
 def _member(alpha, profile, cache):

@@ -1,6 +1,12 @@
 """Shared fixture profiles for the test suite."""
 
+from math import gcd
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
 import kummerws as k
+from kummerws import ceil_div, floor_div
 
 K1 = k.RamificationProfile(3, (1, 1, -2), 2)
 K2 = k.RamificationProfile(5, (1, 1, 1, -3), 2)
@@ -30,3 +36,51 @@ SCAN_WINDOWS = {
     "yns": ((-2, 10), (-2, 10)),
     "bm": ((0, 18), (0, 18)),
 }
+
+
+# Family-specific closed forms for beta(i); each must agree with the
+# generic sum over the preset's lambdas (tested, never assumed).
+
+
+def separable_beta_closed_form(i: int, m: int, t: int) -> int:
+    return t - 1 - floor_div(t * i, m)
+
+
+def xy_family_beta_closed_form(i: int, q: int, d: int, m: int) -> int:
+    return (
+        q // d
+        + (q * (q - 1) // d) * ceil_div(i * (q + 1), m)
+        - floor_div(i * (q**3 // d), m)
+        - 1
+    )
+
+
+def bm_beta_closed_form(i: int, q: int, m: int) -> int:
+    return (
+        q + 1
+        + (q * q - q - 1) * ceil_div(i * (q + 1), m)
+        - floor_div(i * (q**3 - q), m)
+        - 1
+    )
+
+
+@st.composite
+def valid_profiles(draw):
+    """Random valid profiles: m in 2..40, r in 3..8, n in 2..4, lambdas
+    summing to 0 and drawn from a few values, so repeats are likely."""
+    m = draw(st.integers(2, 40))
+    r = draw(st.integers(3, 8))
+    n = draw(st.integers(2, min(4, r)))
+    coprime = [x for x in range(-6, 7) if x and gcd(x, m) == 1]
+    pool = draw(st.lists(st.sampled_from(coprime), min_size=1, max_size=3))
+    # the last lambda balances the sum; it is distinguished when n = r
+    size = min(n, r - 1)
+    head = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    values = pool + draw(st.lists(st.integers(-6, 6).filter(bool), max_size=2))
+    size = r - 1 - size
+    rest = draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+    lambdas = head + rest
+    lambdas.append(-sum(lambdas))
+    profile = k.RamificationProfile(m, lambdas, n)
+    assume(k.validate(profile).ok)  # last lambda nonzero, gcd condition
+    return profile

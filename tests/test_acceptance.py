@@ -11,13 +11,21 @@ from math import comb
 import kummerws as k
 from kummerws.cli import main as cli_main
 from kummerws.membership import MaximalKind
-from kummerws.model import (
+
+from conftest import (
+    ALL_PROFILES,
+    BM23,
+    K1,
+    K2,
+    K2_N3,
+    SCAN_WINDOWS,
+    SEP42,
+    X2213_13,
+    Y233,
     bm_beta_closed_form,
     separable_beta_closed_form,
     xy_family_beta_closed_form,
 )
-
-from conftest import ALL_PROFILES, BM23, K1, K2, K2_N3, SCAN_WINDOWS, SEP42, X2213_13, Y233
 
 A = MaximalKind.ABSOLUTE
 R = MaximalKind.RELATIVE

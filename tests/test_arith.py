@@ -112,8 +112,11 @@ def test_beta_table_matches_scalar_ops(name):
     assert table.m == p.m
     for i in range(1, p.m):
         assert table.beta[i] == k.beta(i, p)
-        for place in range(1, p.n + 1):
-            assert table.t[(place, i)] == k.t_of(place, i, p)
+    # the branch offsets of the enumeration are the residues t_k(i)
+    for kind in k.MaximalKind:
+        for e in k.enumerate_minimal_generating(kind, p):
+            for place in range(1, p.n + 1):
+                assert e.coords[place - 1] % p.m == k.t_of(place, e.residue, p)
 
 
 def test_mod_inverse():

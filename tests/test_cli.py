@@ -277,3 +277,22 @@ def test_malformed_profile_exits_cleanly(capsys, monkeypatch, text):
     code, out, err = run(capsys, "validate", "-")
     assert code in (1, 2)
     assert "error:" in out + err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-", "--kind", "absolute"],
+    ["blocks", "-", "--kind", "relative", "--format", "json"],
+    ["maximal", "-", "--kind", "absolute", "--window", "0:5,0:5",
+     "--format", "json"],
+])
+def test_table_over_budget_exits_3(capsys, monkeypatch, argv):
+    """A beta table of m - 1 > 10^7 residues is refused before it is
+    allocated, and before any output is written."""
+    import io
+
+    huge = {"m": 100_000_000, "lambdas": [1, 1, -2], "n": 2}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(huge)))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -2,8 +2,9 @@
 and the sha256 of its stdout byte for byte.
 
 The table was recorded from the CLI before the serial, table-driven
-rewrite; a refactor that changes any byte of stdout or any exit code
-fails here.  Argument errors raised by argparse count by their
+rewrite, and the case with an empty JSON `results` list before JSON
+output was streamed; a refactor that changes any byte of stdout or any
+exit code fails here.  Argument errors raised by argparse count by their
 SystemExit code.
 """
 

@@ -6,13 +6,15 @@ import json
 import pytest
 
 import kummerws as k
-from kummerws.model import (
+
+from conftest import (
+    ALL_PROFILES,
+    K1,
+    K2,
     bm_beta_closed_form,
     separable_beta_closed_form,
     xy_family_beta_closed_form,
 )
-
-from conftest import ALL_PROFILES, K1, K2
 
 
 def messages(report):
