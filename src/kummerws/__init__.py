@@ -36,6 +36,7 @@ from .membership import (
     MaximalKind,
     Verdict,
     classify,
+    classify_window,
     ell_drop,
     is_discrepancy_point,
     is_maximal_by_criterion,

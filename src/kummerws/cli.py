@@ -16,9 +16,9 @@ import sys
 
 from . import maximal as mx
 from . import model, oracle
-from .errors import BadPreset, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BadPreset, BudgetExceeded
 from .maximal import Window
-from .membership import MaximalKind, Verdict, classify
+from .membership import MaximalKind, Verdict, classify, classify_window
 
 EXIT_OK = 0
 EXIT_INVALID_PROFILE = 1
@@ -211,13 +211,17 @@ def cmd_box(args):
     profile = _checked_profile(args.profile)
     keep, with_verdict = BOX_SCANS[args.command]
     box = _parse_window(args.box, profile.n, clamp_nonnegative=True)
+    if box.size() > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"box holds {box.size()} points (budget {DEFAULT_BUDGET})"
+        )
     header = [f"alpha_{k}" for k in range(1, profile.n + 1)]
     if with_verdict:
         header.append("verdict")
     rows = (
-        list(alpha) + ([verdict.value] if with_verdict else [])
-        for alpha in box.points()
-        if (verdict := classify(alpha, profile).verdict) in keep
+        (*alpha, verdict.value) if with_verdict else alpha
+        for alpha, verdict in classify_window(box, profile)
+        if verdict in keep
     )
     _emit(args, profile, header, rows, {"command": args.command, "box": args.box})
     return EXIT_OK

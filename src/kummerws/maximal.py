@@ -109,22 +109,20 @@ def _branch_in_window(profile, window, i, target):
 
 
 def branch_targets(kind: MaximalKind, profile):
-    """Per-branch coordinate-sum targets in j-space: residue i maps to
-    beta(i) + 1 - n + rho, the m-multiples branch to rho."""
-    beta = BetaTable.build(profile).beta
-    rho = kind.rho(profile.n)
-    targets = {i: beta[i] + 1 - profile.n + rho for i in range(1, profile.m)}
-    targets[None] = rho
-    return targets
+    """(beta, shift): the coordinate-sum target in j-space of residue
+    branch i is beta[i] + shift = beta(i) + 1 - n + rho; the m-multiples
+    branch's target is rho."""
+    return BetaTable.build(profile).beta, 1 - profile.n + kind.rho(profile.n)
 
 
 def enumerate_maximal_in_window(kind: MaximalKind, window: Window, profile):
     """All maximal elements of the chosen kind inside the window, as a
     deterministic stream: residue branches 1..m-1 then the m-multiples
     branch, lexicographic within each branch."""
-    targets = branch_targets(kind, profile)
-    for i in list(range(1, profile.m)) + [None]:
-        yield from _branch_in_window(profile, window, i, targets[i])
+    beta, shift = branch_targets(kind, profile)
+    for i in range(1, profile.m):
+        yield from _branch_in_window(profile, window, i, beta[i] + shift)
+    yield from _branch_in_window(profile, window, None, kind.rho(profile.n))
 
 
 def enumerate_minimal_generating(kind: MaximalKind, profile):
@@ -134,11 +132,11 @@ def enumerate_minimal_generating(kind: MaximalKind, profile):
     The m-multiples branch never contributes (its all-positive solutions
     would need coordinate sum >= n > rho).
     """
-    targets = branch_targets(kind, profile)
+    beta, shift = branch_targets(kind, profile)
     out = []
     n = profile.n
     for i in range(1, profile.m):
-        target = targets[i]
+        target = beta[i] + shift
         if target >= 0:
             offsets = _offsets(profile, i)
             out.extend(_branch(profile.m, offsets, [(0, target)] * n, i, target))
@@ -167,6 +165,6 @@ def block_count(kind: MaximalKind, k: int, profile) -> int:
 
 def block_counts(kind: MaximalKind, profile) -> dict:
     """All nonzero block counts, keyed by k."""
-    targets = branch_targets(kind, profile)
-    counts = Counter(targets[i] for i in range(1, profile.m) if targets[i] >= 0)
-    return dict(sorted(counts.items()))
+    beta, shift = branch_targets(kind, profile)
+    counts = Counter(beta[1:])
+    return {b + shift: c for b, c in sorted(counts.items()) if b + shift >= 0}

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 
 from .arith import unique_t
 from .errors import IndexNotDistinguished
@@ -79,7 +80,62 @@ def classify(alpha, profile) -> Classification:
 
 
 def is_member(alpha, profile) -> bool:
-    return classify(alpha, profile).verdict is Verdict.MEMBER
+    c = profile.compiled
+    for k in range(c.n):
+        if _drop(alpha, k, c):
+            return False
+    return True
+
+
+def _threshold(alpha, k: int, a: int, c) -> int:
+    """The drop test at place k is alpha_a < T on the axis a != k: with
+    alpha_k, hence t, fixed the criterion sum is nondecreasing in alpha_a.
+    T = -m*R - t*lambda_a, where R is the sum without its a-term; alpha_a
+    itself is never read."""
+    m, head = c.m, c.head
+    t = (-alpha[k] * c.inverses[k]) % m
+    r = c.tail_sum(t)
+    for j, x in enumerate(alpha):
+        if j != a:
+            r += (x + t * head[j]) // m
+    return -m * r - t * head[a]
+
+
+def classify_window(window, profile):
+    """(alpha, verdict) for every lattice point of the window, in the
+    order of window.points(), with the verdicts of classify.
+
+    Places 1..n-1 drop where alpha_n is below a threshold fixed per row
+    (alpha_1..alpha_{n-1}); place n drops where alpha_{n-1} is below a
+    threshold fixed per alpha_n, listed once per (alpha_1..alpha_{n-2}).
+    Needs n >= 2.
+    """
+    c = profile.compiled
+    n = c.n
+    if n < 2 or window.n != n:
+        raise ValueError(f"need a window of n = {n} >= 2 coordinates")
+    ranges = [range(lo, hi + 1) for lo, hi in window.bounds]
+    last = ranges[-1]
+    member, outside = Verdict.MEMBER, Verdict.NON_MEMBER_OUTSIDE_BOX
+    pure, gap = Verdict.PURE_GAP, Verdict.GAP
+    for prefix in product(*ranges[:-2]):
+        # alpha_{n-1} is a placeholder: _threshold skips the axis it solves
+        thresholds_n = [_threshold((*prefix, 0, x), n - 1, n - 2, c) for x in last]
+        for y in ranges[-2]:
+            row = (*prefix, y)
+            ts = [_threshold(row + (0,), k, n - 1, c) for k in range(n - 1)]
+            hi, lo = max(ts), min(ts)
+            negative = min(row) < 0
+            for x, tn in zip(last, thresholds_n):
+                if x >= hi and y >= tn:
+                    verdict = member
+                elif negative or x < 0:
+                    verdict = outside
+                elif x < lo and y < tn:
+                    verdict = pure
+                else:
+                    verdict = gap
+                yield row + (x,), verdict
 
 
 def _maximality_sum(alpha, t: int, profile) -> int:

@@ -17,6 +17,7 @@ from .arith import CompiledProfile, lambda_gcd
 from .errors import BadPreset, InconsistentProfile
 
 MAX_PLACES = 10**6
+MAX_CHARACTERISTIC = 10**14  # primality by trial division takes sqrt(p) steps
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,16 @@ def validate(profile: RamificationProfile) -> ValidationReport:
         p, q = profile.field_info
         if p < 2:
             err(f"characteristic p must be >= 2, got {p}")
-        elif profile.m % p == 0:
-            err(f"characteristic p={p} divides m={profile.m}")
+        elif p > MAX_CHARACTERISTIC:
+            err(f"characteristic p={p} is above {MAX_CHARACTERISTIC}, too "
+                "large to test for primality")
+        elif not _is_prime(p):
+            err(f"characteristic p={p} is not prime")
+        else:
+            if profile.m % p == 0:
+                err(f"characteristic p={p} divides m={profile.m}")
+            if not _is_power_of(q, p):
+                err(f"field size q={q} is not a power of p={p}")
         if q < profile.n:
             warn(
                 f"q={q} < n={profile.n}: the semigroup interpretation "
@@ -183,13 +192,17 @@ def _is_prime(p: int) -> bool:
     return p >= 2 and _smallest_prime_factor(p) == p
 
 
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
+def _is_power_of(q: int, p: int) -> bool:
+    """q = p^e for some e >= 1 (p >= 2)."""
+    if q < p:
         return False
-    p = _smallest_prime_factor(q)
     while q % p == 0:
         q //= p
     return q == 1
+
+
+def _is_prime_power(q: int) -> bool:
+    return q >= 2 and _is_power_of(q, _smallest_prime_factor(q))
 
 
 def _kummer_family(q: int, d: int, n_exp: int, s: int, n: int, p: int):

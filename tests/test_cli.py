@@ -260,6 +260,11 @@ K1_FIELDS = '"m": 3, "lambdas": [1, 1, -2], "n": 2'
     '{%s, "field": [2, 3]}' % K1_FIELDS,
     '{%s, "field": {"p": 0, "q": 4}}' % K1_FIELDS,
     '{%s, "field": {"p": 2.0, "q": 4}}' % K1_FIELDS,
+    '{%s, "field": {"p": 4, "q": 16}}' % K1_FIELDS,
+    '{%s, "field": {"p": 4, "q": 6}}' % K1_FIELDS,
+    '{%s, "field": {"p": 2, "q": 6}}' % K1_FIELDS,
+    '{%s, "field": {"p": 2, "q": 1}}' % K1_FIELDS,
+    '{%s, "field": {"p": 100000000000031, "q": 100000000000031}}' % K1_FIELDS,
     '{%s, "labels": 5}' % K1_FIELDS,
     '{%s, "labels": [1, 2, 3]}' % K1_FIELDS,
     '{"m": 1e400, "lambdas": [1, 1, -2], "n": 2}',
@@ -293,6 +298,16 @@ def test_table_over_budget_exits_3(capsys, monkeypatch, argv):
     huge = {"m": 100_000_000, "lambdas": [1, 1, -2], "n": 2}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(huge)))
     code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["semigroup", "gaps", "puregaps"])
+def test_box_over_budget_exits_3(capsys, k1_path, command):
+    """A box of more than 10^7 points is refused before any output."""
+    code, out, err = run(capsys, command, k1_path,
+                         "--box", "0:100000000,0:100000000")
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err

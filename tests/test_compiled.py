@@ -3,13 +3,14 @@ every lambda, with a fresh modular inverse for every query."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kummerws as k
 from kummerws.arith import BetaTable
 
-from conftest import valid_profiles
+from conftest import ALL_PROFILES, SCAN_WINDOWS, valid_profiles
 
 
 def ref_t(k_, alpha, p):
@@ -62,6 +63,7 @@ def test_compiled_kernels_match_reference(data):
     for alpha in points:
         got = k.classify(alpha, p)
         assert (got.verdict, got.drops) == ref_verdict(alpha, p)
+        assert k.is_member(alpha, p) == (got.verdict is k.Verdict.MEMBER)
         for kind in k.MaximalKind:
             assert k.is_maximal_by_criterion(alpha, kind, p) == ref_is_maximal(
                 alpha, kind, p
@@ -69,3 +71,29 @@ def test_compiled_kernels_match_reference(data):
     table = BetaTable.build(p)
     assert table.beta[1:] == tuple(ref_beta(i, p) for i in range(1, m))
     assert [k.beta(i, p) for i in range(1, m)] == list(table.beta[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_classify_window_matches_classify(data):
+    p = data.draw(valid_profiles())
+    m = p.m
+    # one drawn seed gives the window: negative lower bounds, 1-wide axes
+    rnd = random.Random(data.draw(st.integers(0, 2**32)))
+    side = round(2000 ** (1 / p.n))  # at most about 2000 points
+    bounds = []
+    for _ in range(p.n):
+        lo = rnd.randint(-2 * m, 2 * m)
+        bounds.append((lo, lo + rnd.choice((0, rnd.randint(1, side)))))
+    w = k.Window(tuple(bounds))
+    expected = [(a, k.classify(a, p).verdict) for a in w.points()]
+    assert list(k.classify_window(w, p)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ALL_PROFILES))
+def test_classify_window_on_fixtures(name):
+    """Whole fixture windows reach the points where two drop tests sit
+    on their thresholds at once, which random small windows seldom do."""
+    p, w = ALL_PROFILES[name], k.Window(SCAN_WINDOWS[name])
+    expected = [(a, k.classify(a, p).verdict) for a in w.points()]
+    assert list(k.classify_window(w, p)) == expected

@@ -55,7 +55,7 @@ def test_validate_field_info():
     assert any(
         "divides m" in v.message for v in k.validate(bad_char).errors
     )
-    small_q = k.RamificationProfile(3, (1, 1, 1, -3), 3, field_info=(5, 2))
+    small_q = k.RamificationProfile(3, (1, 1, 1, -3), 3, field_info=(2, 2))
     report = k.validate(small_q)
     assert report.ok  # q < n is only a warning
     assert any("q=2 < n=3" in v.message for v in report.warnings)
