@@ -4,17 +4,9 @@ alone: membership, gaps, pure gaps, discrepancies, and the complete sets
 of absolute and relative maximal elements, with a definitional
 brute-force oracle for cross-validation."""
 
-from .arith import (
-    BetaTable,
-    beta,
-    ceil_div,
-    floor_div,
-    mod_inverse,
-    per_coordinate_t,
-    t_of,
-    unique_t,
-)
+from .arith import BetaTable, beta, unique_t
 from .errors import (
+    DEFAULT_BUDGET,
     BadPreset,
     BudgetExceeded,
     IndexNotDistinguished,
@@ -25,7 +17,6 @@ from .errors import (
 from .maximal import (
     MaximalElement,
     Window,
-    block_count,
     block_counts,
     cardinality,
     enumerate_maximal_in_window,
@@ -38,19 +29,15 @@ from .membership import (
     classify,
     classify_window,
     ell_drop,
-    is_discrepancy_point,
     is_maximal_by_criterion,
     is_member,
-    is_relative_discrepancy_point,
     single_place_gap_count,
 )
 from .model import (
-    CurvePreset,
     RamificationProfile,
     ValidationReport,
     dump_profile,
     genus,
-    load_profile,
     preset_beelen_montanucci,
     preset_separable,
     preset_xabns,
@@ -60,7 +47,6 @@ from .model import (
     validate,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     CrosscheckReport,
     crosscheck_window,
     is_maximal_definitional,

@@ -16,44 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded
-from .errors import IndexNotDistinguished, ResidueOutOfRange
-
-
-def floor_div(a: int, m: int) -> int:
-    """Exact floor of a/m toward minus infinity (m >= 1)."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return a // m
-
-
-def ceil_div(a: int, m: int) -> int:
-    """Exact ceiling of a/m (m >= 1)."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return -((-a) // m)
-
-
-def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m; m need not be prime, but gcd(a, m) must be 1."""
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise ValueError(f"{a} is not invertible modulo {m}") from None
-
-
-def _check_residue(i: int, m: int) -> None:
-    if not 1 <= i <= m - 1:
-        raise ResidueOutOfRange(f"residue index {i} not in 1..{m - 1}")
-
-
-def t_of(k: int, i: int, profile) -> int:
-    """The residue (i * lambda_k) mod m, guaranteed nonzero for
-    distinguished places (gcd(lambda_k, m) = 1)."""
-    if not 1 <= k <= profile.n:
-        raise IndexNotDistinguished(f"place index {k} not in 1..{profile.n}")
-    _check_residue(i, profile.m)
-    return (i * profile.lambdas[k - 1]) % profile.m
+from .errors import ResidueOutOfRange, check_budget
 
 
 class CompiledProfile:
@@ -66,7 +29,8 @@ class CompiledProfile:
     def __init__(self, profile):
         m, n, lambdas = profile.m, profile.n, profile.lambdas
         self.m, self.n, self.head = m, n, lambdas[:n]
-        self.inverses = tuple(mod_inverse(lam, m) for lam in self.head)
+        # pow raises ValueError when a lambda is not invertible modulo m
+        self.inverses = tuple(pow(lam, -1, m) for lam in self.head)
         self.groups = tuple(Counter(lambdas).items())
         self.tail = tuple(Counter(lambdas[n:]).items())
         self._sums = {}
@@ -88,19 +52,9 @@ def _beta(i: int, compiled) -> int:
 
 def beta(i: int, profile) -> int:
     """The residue invariant sum(ceil(i*lambda_k / m) over all places) - 1."""
-    _check_residue(i, profile.m)
+    if not 1 <= i <= profile.m - 1:
+        raise ResidueOutOfRange(f"residue index {i} not in 1..{profile.m - 1}")
     return _beta(i, profile.compiled)
-
-
-def per_coordinate_t(i: int, alpha, profile) -> int:
-    """The unique t in {0, ..., m-1} with alpha_i + t*lambda_i == 0 mod m.
-
-    Uniqueness holds because the distinguished lambdas are coprime to m.
-    """
-    if not 1 <= i <= profile.n:
-        raise IndexNotDistinguished(f"coordinate index {i} not in 1..{profile.n}")
-    c = profile.compiled
-    return (-alpha[i - 1] * c.inverses[i - 1]) % c.m
 
 
 def unique_t(alpha, profile):
@@ -123,10 +77,7 @@ class BetaTable:
     @classmethod
     def build(cls, profile) -> "BetaTable":
         m = profile.m
-        if m - 1 > DEFAULT_BUDGET:
-            raise BudgetExceeded(
-                f"beta table would hold {m - 1} residues (budget {DEFAULT_BUDGET})"
-            )
+        check_budget(m - 1, "beta table residues")
         c = profile.compiled
         return cls(m=m, beta=(None, *(_beta(i, c) for i in range(1, m))))
 

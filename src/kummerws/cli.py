@@ -16,7 +16,7 @@ import sys
 
 from . import maximal as mx
 from . import model, oracle
-from .errors import DEFAULT_BUDGET, BadPreset, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BadPreset, BudgetExceeded, check_budget
 from .maximal import Window
 from .membership import MaximalKind, Verdict, classify, classify_window
 
@@ -40,7 +40,7 @@ def _read_profile(path):
             with open(path) as fp:
                 data = json.load(fp)
         return model.profile_from_dict(data)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read profile: {exc}") from exc
 
 
@@ -93,7 +93,7 @@ def _budget(args):
             return int(env)
         except ValueError:
             raise CliError(f"bad KWSG_BUDGET value: {env!r}") from None
-    return oracle.DEFAULT_BUDGET
+    return DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +211,7 @@ def cmd_box(args):
     profile = _checked_profile(args.profile)
     keep, with_verdict = BOX_SCANS[args.command]
     box = _parse_window(args.box, profile.n, clamp_nonnegative=True)
-    if box.size() > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"box holds {box.size()} points (budget {DEFAULT_BUDGET})"
-        )
+    check_budget(box.size(), "box points")
     header = [f"alpha_{k}" for k in range(1, profile.n + 1)]
     if with_verdict:
         header.append("verdict")
@@ -239,10 +236,10 @@ PRESETS = {
 def cmd_preset(args):
     make, options = PRESETS[args.family]
     try:
-        preset = make(*(getattr(args, name) for name in options))
+        profile = make(*(getattr(args, name) for name in options))
     except BadPreset as exc:
         raise CliError(str(exc)) from exc
-    model.dump_profile(preset.profile, sys.stdout)
+    model.dump_profile(profile, sys.stdout)
     return EXIT_OK
 
 

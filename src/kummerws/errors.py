@@ -29,3 +29,9 @@ DEFAULT_BUDGET = 10**7  # work units a computation may spend by default
 class BudgetExceeded(KummerError):
     """A computation would examine more candidate points, or build a
     larger table, than the configured budget allows."""
+
+
+def check_budget(size: int, what: str, budget: int = DEFAULT_BUDGET) -> None:
+    """Refuse work of the given size, described by what, beyond the budget."""
+    if size > budget:
+        raise BudgetExceeded(f"{what}: {size} (budget {budget})")

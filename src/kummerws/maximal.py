@@ -155,14 +155,6 @@ def cardinality(kind: MaximalKind, profile) -> int:
     )
 
 
-def block_count(kind: MaximalKind, k: int, profile) -> int:
-    """Number of residue branches whose target equals k, i.e. the size of
-    the block [km, (k+1)m) x [0, m)^{n-1} of the finite maximal set."""
-    if k < 0:
-        raise ValueError(f"block index must be >= 0, got {k}")
-    return block_counts(kind, profile).get(k, 0)
-
-
 def block_counts(kind: MaximalKind, profile) -> dict:
     """All nonzero block counts, keyed by k."""
     beta, shift = branch_targets(kind, profile)

@@ -154,17 +154,6 @@ def is_maximal_by_criterion(alpha, kind: MaximalKind, profile) -> bool:
     return _maximality_sum(alpha, t, profile) == kind.rho(profile.n)
 
 
-def is_discrepancy_point(alpha, profile) -> bool:
-    """True iff the divisor of alpha is a discrepancy for every pair of
-    distinguished places: a common t exists and the ceiling/floor sum is 0."""
-    return is_maximal_by_criterion(alpha, MaximalKind.ABSOLUTE, profile)
-
-
-def is_relative_discrepancy_point(alpha, profile) -> bool:
-    """Same test with target n - 2 (the relative maximality criterion)."""
-    return is_maximal_by_criterion(alpha, MaximalKind.RELATIVE, profile)
-
-
 def single_place_gap_count(profile, place: int = 1) -> int:
     """Number of gaps at one distinguished place, computed with the same
     drop criterion restricted to a single coordinate.

@@ -9,7 +9,7 @@ totally ramified places.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -145,19 +145,18 @@ def genus(profile: RamificationProfile) -> int:
 
 # ---------------------------------------------------------------------------
 # Curve-family presets
+#
+# The place-count cap and the n bounds come before the primality tests:
+# trial division of a large p or q would run for ages, and the cap refuses
+# any q > 1000 anyway.
 
 
-@dataclass(frozen=True)
-class CurvePreset:
-    kind: str
-    params: dict = field(compare=False)
-    profile: RamificationProfile = None
-
-    def __post_init__(self):
-        report = validate(self.profile)
-        if not report.ok:
-            msgs = "; ".join(v.message for v in report.errors)
-            raise BadPreset(f"{self.kind} preset produced invalid profile: {msgs}")
+def _checked(kind: str, profile: RamificationProfile) -> RamificationProfile:
+    report = validate(profile)
+    if not report.ok:
+        msgs = "; ".join(v.message for v in report.errors)
+        raise BadPreset(f"{kind} preset produced invalid profile: {msgs}")
+    return profile
 
 
 def _check_r(r: int) -> None:
@@ -165,7 +164,7 @@ def _check_r(r: int) -> None:
         raise BadPreset(f"preset would materialize {r + 1} places (cap {MAX_PLACES})")
 
 
-def preset_separable(m: int, t: int, n: int) -> CurvePreset:
+def preset_separable(m: int, t: int, n: int) -> RamificationProfile:
     """y^m = f(x) with f separable of degree t: t simple zeros and one
     pole of order t. No coprimality between m and t is required."""
     if m < 2:
@@ -175,8 +174,7 @@ def preset_separable(m: int, t: int, n: int) -> CurvePreset:
     if not 2 <= n <= t:
         raise BadPreset(f"n must satisfy 2 <= n <= t={t}, got {n}")
     _check_r(t)
-    profile = RamificationProfile(m=m, lambdas=(1,) * t + (-t,), n=n)
-    return CurvePreset("separable", {"m": m, "t": t, "n": n}, profile)
+    return _checked("separable", RamificationProfile(m, (1,) * t + (-t,), n))
 
 
 def _smallest_prime_factor(q: int) -> int:
@@ -207,70 +205,64 @@ def _is_prime_power(q: int) -> bool:
 
 def _kummer_family(q: int, d: int, n_exp: int, s: int, n: int, p: int):
     """Shared construction for the X_{a,b,n,s} / Y_{n,s} families:
-    q/d simple zeros, q(q-1)/d zeros of order q+1, one pole of order q^3/d."""
+    q/d simple zeros, q(q-1)/d zeros of order q+1, one pole of order q^3/d.
+    The caller has checked the place count q^2/d against the cap."""
     if n_exp < 3 or n_exp % 2 == 0:
         raise BadPreset(f"n_exp must be odd and >= 3, got {n_exp}")
     top = q**n_exp + 1
     if top % (q + 1) != 0 or (top // (q + 1)) % s != 0:
         raise BadPreset(f"s={s} must divide (q^{n_exp}+1)/(q+1)")
-    m = top // s
-    n_simple = q // d
-    n_heavy = q * (q - 1) // d
-    _check_r(n_simple + n_heavy)
-    lambdas = (1,) * n_simple + (q + 1,) * n_heavy + (-(q**3) // d,)
+    lambdas = (1,) * (q // d) + (q + 1,) * (q * (q - 1) // d) + (-(q**3) // d,)
     return RamificationProfile(
-        m=m, lambdas=lambdas, n=n, field_info=(p, q ** (2 * n_exp))
+        m=top // s, lambdas=lambdas, n=n, field_info=(p, q ** (2 * n_exp))
     )
 
 
-def preset_xabns(p: int, a: int, b: int, n_exp: int, s: int, n: int) -> CurvePreset:
+def preset_xabns(
+    p: int, a: int, b: int, n_exp: int, s: int, n: int
+) -> RamificationProfile:
     """The maximal curves X_{a,b,n,s} over F_{q^{2n}} with q = p^a, d = p^b."""
-    if not _is_prime(p):
-        raise BadPreset(f"p={p} is not prime")
     if not (1 <= b < a and a % b == 0):
         raise BadPreset(f"need b | a and b < a, got a={a}, b={b}")
     q = p**a
     d = p**b
-    if not 2 <= n <= q // d:
-        raise BadPreset(f"n must satisfy 2 <= n <= q/d={q // d}, got {n}")
-    profile = _kummer_family(q, d, n_exp, s, n, p)
-    return CurvePreset(
-        "xabns", {"p": p, "a": a, "b": b, "n_exp": n_exp, "s": s, "n": n}, profile
-    )
+    if not 2 <= n <= p ** (a - b):  # q/d, and no division when p = 0
+        raise BadPreset(f"n must satisfy 2 <= n <= q/d={p ** (a - b)}, got {n}")
+    _check_r(q * q // d)
+    if not _is_prime(p):
+        raise BadPreset(f"p={p} is not prime")
+    return _checked("xabns", _kummer_family(q, d, n_exp, s, n, p))
 
 
-def preset_yns(q: int, n_exp: int, s: int, n: int) -> CurvePreset:
+def preset_yns(q: int, n_exp: int, s: int, n: int) -> RamificationProfile:
     """The maximal curves Y_{n,s} over F_{q^{2n}} (the d = 1 family)."""
-    if not _is_prime_power(q):
-        raise BadPreset(f"q={q} is not a prime power")
     if not 2 <= n <= q:
         raise BadPreset(f"n must satisfy 2 <= n <= q={q}, got {n}")
-    p = _smallest_prime_factor(q)
-    profile = _kummer_family(q, 1, n_exp, s, n, p)
-    return CurvePreset("yns", {"q": q, "n_exp": n_exp, "s": s, "n": n}, profile)
-
-
-def preset_beelen_montanucci(q: int, n_exp: int, n: int) -> CurvePreset:
-    """The Beelen-Montanucci curves: q+1 simple zeros, q^2-q-1 zeros of
-    order q+1, one pole of order q^3 - q; exponent m = q^n + 1."""
+    _check_r(q * q)
     if not _is_prime_power(q):
         raise BadPreset(f"q={q} is not a prime power")
+    p = _smallest_prime_factor(q)
+    return _checked("yns", _kummer_family(q, 1, n_exp, s, n, p))
+
+
+def preset_beelen_montanucci(q: int, n_exp: int, n: int) -> RamificationProfile:
+    """The Beelen-Montanucci curves: q+1 simple zeros, q^2-q-1 zeros of
+    order q+1, one pole of order q^3 - q; exponent m = q^n + 1."""
     if n_exp < 3 or n_exp % 2 == 0:
         raise BadPreset(f"n_exp must be odd and >= 3, got {n_exp}")
     if not 2 <= n <= q + 1:
         raise BadPreset(f"n must satisfy 2 <= n <= q+1={q + 1}, got {n}")
-    p = _smallest_prime_factor(q)
     n_heavy = q * q - q - 1
     _check_r(q + 1 + n_heavy)
+    if not _is_prime_power(q):
+        raise BadPreset(f"q={q} is not a prime power")
     profile = RamificationProfile(
         m=q**n_exp + 1,
         lambdas=(1,) * (q + 1) + (q + 1,) * n_heavy + (-(q**3 - q),),
         n=n,
-        field_info=(p, q ** (2 * n_exp)),
+        field_info=(_smallest_prime_factor(q), q ** (2 * n_exp)),
     )
-    return CurvePreset(
-        "beelen-montanucci", {"q": q, "n_exp": n_exp, "n": n}, profile
-    )
+    return _checked("beelen-montanucci", profile)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +311,6 @@ def profile_from_dict(data: dict) -> RamificationProfile:
     return RamificationProfile(
         m=m, lambdas=lambdas, n=n, labels=labels, field_info=field_info
     )
-
-
-def load_profile(fp) -> RamificationProfile:
-    return profile_from_dict(json.load(fp))
 
 
 def dump_profile(profile: RamificationProfile, fp) -> None:

@@ -11,10 +11,10 @@ empirically on every enumerated member in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .arith import unique_t
-from .errors import DEFAULT_BUDGET, BudgetExceeded
+from .errors import DEFAULT_BUDGET, BudgetExceeded, check_budget
 from .maximal import Window, enumerate_maximal_in_window
 from .membership import MaximalKind, _maximality_sum, is_member
 
@@ -50,35 +50,19 @@ def nabla_nonempty(alpha, J, profile, budget: int = DEFAULT_BUDGET, cache=None) 
         hi = alpha[i - 1] - 1
         if lo > hi:
             return False
-        ranges.append((lo, hi))
-        size *= hi - lo + 1
-    if size > budget:
-        raise BudgetExceeded(
-            f"nabla scan region has {size} points (budget {budget})"
-        )
-
-    def rec(values, k, partial):
-        if k == len(free):
-            if partial < 0:
-                return False  # no member has negative coordinate sum
-            beta = list(alpha)
-            for i, v in zip(free, values):
-                beta[i - 1] = v
-            return _member(tuple(beta), profile, cache)
-        lo, hi = ranges[k]
         # scan downward: witnesses cluster near alpha
-        for v in range(hi, lo - 1, -1):
-            if rec(values + [v], k + 1, partial + v):
-                return True
-        return False
-
-    return rec([], 0, fixed_sum)
-
-
-def _proper_subsets_geq2(n: int):
-    idx = range(1, n + 1)
-    for size in range(2, n):
-        yield from (frozenset(c) for c in combinations(idx, size))
+        ranges.append(range(hi, lo - 1, -1))
+        size *= hi - lo + 1
+    check_budget(size, "nabla scan points", budget)
+    beta = list(alpha)
+    for values in product(*ranges):
+        if fixed_sum + sum(values) < 0:
+            continue  # no member has negative coordinate sum
+        for i, v in zip(free, values):
+            beta[i - 1] = v
+        if _member(tuple(beta), profile, cache):
+            return True
+    return False
 
 
 def is_maximal_definitional(
@@ -95,13 +79,12 @@ def is_maximal_definitional(
     if not _member(alpha, profile, cache):
         return False
     n = profile.n
-    for i in range(1, n + 1):
-        if nabla_nonempty(alpha, {i}, profile, budget, cache):
-            return False
-    want_nonempty = kind is MaximalKind.RELATIVE
-    for J in _proper_subsets_geq2(n):
-        if nabla_nonempty(alpha, J, profile, budget, cache) != want_nonempty:
-            return False
+    relative = kind is MaximalKind.RELATIVE
+    for size in range(1, n):
+        want_nonempty = relative and size > 1
+        for J in combinations(range(1, n + 1), size):
+            if nabla_nonempty(alpha, J, profile, budget, cache) != want_nonempty:
+                return False
     return True
 
 

@@ -6,15 +6,14 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import kummerws as k
-from kummerws import ceil_div, floor_div
 
 K1 = k.RamificationProfile(3, (1, 1, -2), 2)
 K2 = k.RamificationProfile(5, (1, 1, 1, -3), 2)
 K2_N3 = k.RamificationProfile(5, (1, 1, 1, -3), 3)
-SEP42 = k.preset_separable(4, 2, 2).profile
-X2213_13 = k.preset_xabns(2, 2, 1, 3, 13, 2).profile
-Y233 = k.preset_yns(2, 3, 3, 2).profile
-BM23 = k.preset_beelen_montanucci(2, 3, 2).profile
+SEP42 = k.preset_separable(4, 2, 2)
+X2213_13 = k.preset_xabns(2, 2, 1, 3, 13, 2)
+Y233 = k.preset_yns(2, 3, 3, 2)
+BM23 = k.preset_beelen_montanucci(2, 3, 2)
 
 ALL_PROFILES = {
     "K1": K1,
@@ -43,14 +42,14 @@ SCAN_WINDOWS = {
 
 
 def separable_beta_closed_form(i: int, m: int, t: int) -> int:
-    return t - 1 - floor_div(t * i, m)
+    return t - 1 - t * i // m
 
 
 def xy_family_beta_closed_form(i: int, q: int, d: int, m: int) -> int:
     return (
         q // d
-        + (q * (q - 1) // d) * ceil_div(i * (q + 1), m)
-        - floor_div(i * (q**3 // d), m)
+        + (q * (q - 1) // d) * -(-i * (q + 1) // m)
+        - i * (q**3 // d) // m
         - 1
     )
 
@@ -58,8 +57,8 @@ def xy_family_beta_closed_form(i: int, q: int, d: int, m: int) -> int:
 def bm_beta_closed_form(i: int, q: int, m: int) -> int:
     return (
         q + 1
-        + (q * q - q - 1) * ceil_div(i * (q + 1), m)
-        - floor_div(i * (q**3 - q), m)
+        + (q * q - q - 1) * -(-i * (q + 1) // m)
+        - i * (q**3 - q) // m
         - 1
     )
 

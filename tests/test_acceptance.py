@@ -95,18 +95,18 @@ def test_criterion_3_preset_beta_consistency():
     start = time.monotonic()
     cases = 0
     for m, t in [(3, 2), (5, 3), (4, 2)]:
-        p = k.preset_separable(m, t, 2).profile
+        p = k.preset_separable(m, t, 2)
         for i in range(1, m):
             assert k.beta(i, p) == separable_beta_closed_form(i, m, t)
             cases += 1
     for p, q, d in [(X2213_13, 4, 2), (Y233, 2, 1),
-                    (k.preset_yns(2, 3, 1, 2).profile, 2, 1),
-                    (k.preset_xabns(2, 2, 1, 3, 1, 2).profile, 4, 2)]:
+                    (k.preset_yns(2, 3, 1, 2), 2, 1),
+                    (k.preset_xabns(2, 2, 1, 3, 1, 2), 4, 2)]:
         for i in range(1, p.m):
             assert k.beta(i, p) == xy_family_beta_closed_form(i, q, d, p.m)
             cases += 1
     for q in (2, 3):
-        p = k.preset_beelen_montanucci(q, 3, 2).profile
+        p = k.preset_beelen_montanucci(q, 3, 2)
         for i in range(1, p.m):
             assert k.beta(i, p) == bm_beta_closed_form(i, q, p.m)
             cases += 1
@@ -142,10 +142,8 @@ def test_criterion_5_structural_invariants():
                 shifted[j] += profile.m
                 assert k.is_member(tuple(shifted), profile)
         for a in w.points():
-            # maximal points are members; discrepancy implies membership
+            # maximal points (the discrepancies) are members
             if k.is_maximal_by_criterion(a, A, profile):
-                assert k.is_member(a, profile)
-            if k.is_discrepancy_point(a, profile):
                 assert k.is_member(a, profile)
             # at n=2 the two maximality flavors coincide pointwise
             if profile.n == 2:

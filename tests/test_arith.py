@@ -12,37 +12,6 @@ from kummerws.arith import BetaTable, lambda_gcd
 from conftest import ALL_PROFILES, K1, K2
 
 
-def test_floor_div_examples():
-    assert k.floor_div(7, 3) == 2
-    assert k.floor_div(-4, 3) == -2
-    assert k.floor_div(0, 5) == 0
-
-
-def test_floor_div_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        k.floor_div(1, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-def test_ceil_div_matches_floor_div(a, m):
-    assert k.ceil_div(a, m) == k.floor_div(a + m - 1, m)
-    assert k.ceil_div(a, m) == -k.floor_div(-a, m)
-    assert k.floor_div(a, m) == math.floor(a / m) or abs(a) > 2**50
-
-
-def test_t_of_examples():
-    p = k.RamificationProfile(5, (2, 2, -4), 2)
-    assert k.t_of(1, 3, p) == 1  # 6 mod 5
-    p2 = k.RamificationProfile(3, (-2, 1, 1), 2)
-    assert k.t_of(1, 1, p2) == 1  # -2 mod 3
-    assert k.t_of(2, 2, p2) == 2
-
-
-def test_t_of_rejects_non_distinguished_index():
-    with pytest.raises(k.IndexNotDistinguished):
-        k.t_of(3, 1, K1)
-
-
 def test_beta_examples():
     assert k.beta(1, K1) == 1
     assert k.beta(2, K1) == 0
@@ -62,12 +31,6 @@ def test_unique_t_examples():
     assert k.unique_t((0, 0), K1) == 0
 
 
-def test_per_coordinate_t_examples():
-    assert k.per_coordinate_t(1, (1, 0), K1) == 2
-    assert k.per_coordinate_t(2, (1, 0), K1) == 0
-    assert k.per_coordinate_t(2, (1, 2), K2) == 3
-
-
 @given(st.data())
 def test_floor_identity_for_unique_shift(data):
     """For gcd(lam, m) = 1 the floor of (a + i*lam)/m steps up exactly at
@@ -79,19 +42,20 @@ def test_floor_identity_for_unique_shift(data):
     a = data.draw(st.integers(-500, 500))
     i = data.draw(st.integers(-500, 500))
     t = (-a * pow(lam, -1, m)) % m
-    lhs = k.floor_div(a + i * lam, m)
+    lhs = (a + i * lam) // m
     if i % m == t:
-        assert lhs == k.floor_div(a - 1 + i * lam, m) + 1
-        assert lhs == k.ceil_div(a, m) + k.floor_div(i * lam, m)
+        assert lhs == (a - 1 + i * lam) // m + 1
+        assert lhs == -(-a // m) + i * lam // m
     else:
-        assert lhs == k.floor_div(a - 1 + i * lam, m)
+        assert lhs == (a - 1 + i * lam) // m
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
 def test_t_of_is_bijection_per_place(name):
     p = ALL_PROFILES[name]
     for place in range(1, p.n + 1):
-        images = {k.t_of(place, i, p) for i in range(1, p.m)}
+        lam = p.lambdas[place - 1]
+        images = {i * lam % p.m for i in range(1, p.m)}
         assert images == set(range(1, p.m))
 
 
@@ -116,13 +80,14 @@ def test_beta_table_matches_scalar_ops(name):
     for kind in k.MaximalKind:
         for e in k.enumerate_minimal_generating(kind, p):
             for place in range(1, p.n + 1):
-                assert e.coords[place - 1] % p.m == k.t_of(place, e.residue, p)
+                lam = p.lambdas[place - 1]
+                assert e.coords[place - 1] % p.m == e.residue * lam % p.m
 
 
-def test_mod_inverse():
-    assert k.mod_inverse(3, 10) == 7
+def test_compile_rejects_non_invertible_lambda():
+    """Compiling needs lambda_k^-1 mod m at each distinguished place."""
     with pytest.raises(ValueError):
-        k.mod_inverse(2, 10)
+        k.RamificationProfile(10, (2, 3, -5), 2).compiled
 
 
 def test_lambda_gcd():

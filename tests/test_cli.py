@@ -1,6 +1,7 @@
 """CLI surface: exit codes, output formats, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -203,11 +204,28 @@ def test_preset_round_trip(capsys, tmp_path):
         k.MaximalKind.ABSOLUTE, K2)))
 
 
-def test_preset_bad_parameters(capsys):
-    code, _, err = run(capsys, "preset", "yns", "--q", "6", "--nexp", "3",
-                       "--s", "1", "--places", "2")
+HUGE_PRIME = "1000000000000000003"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["yns", "--q", "6", "--nexp", "3", "--s", "1", "--places", "2"],
+     "prime power"),
+    # a huge prime q or p is refused by the place-count cap at once,
+    # without trial division up to its square root
+    (["yns", "--q", HUGE_PRIME, "--nexp", "3", "--s", "1", "--places", "2"],
+     "places"),
+    (["beelen-montanucci", "--q", HUGE_PRIME, "--nexp", "3", "--places", "2"],
+     "places"),
+    (["xabns", "--p", HUGE_PRIME, "--a", "2", "--b", "1", "--nexp", "3",
+      "--s", "1", "--places", "2"], "places"),
+])
+def test_preset_bad_parameters(capsys, argv, message):
+    start = time.monotonic()
+    code, out, err = run(capsys, "preset", *argv)
+    assert time.monotonic() - start < 1.0
     assert code == 2
-    assert "prime power" in err
+    assert out == ""
+    assert err.startswith("error:") and message in err
 
 
 def test_oracle_agreement(capsys, k1_path):
@@ -274,6 +292,7 @@ K1_FIELDS = '"m": 3, "lambdas": [1, 1, -2], "n": 2'
     '{"m": 3, "lambdas": [1, 1, "-2"], "n": 2}',
     '{"m": 3, "lambdas": [1, 1, -2], "n": null}',
     '[3, [1, 1, -2], 2]',
+    pytest.param("[" * 200_000 + "]" * 200_000, id="nested-200000-deep"),
 ])
 def test_malformed_profile_exits_cleanly(capsys, monkeypatch, text):
     import io

@@ -114,8 +114,6 @@ def test_minimal_generating_properties(name, kind):
         assert all(c >= 1 for c in pt)
         assert k.is_maximal_by_criterion(pt, kind, profile)
         assert k.is_member(pt, profile)
-        if kind is A:
-            assert k.is_discrepancy_point(pt, profile)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
@@ -157,14 +155,9 @@ def test_relative_equals_absolute_cardinality_at_n2():
 
 
 def test_block_count_examples():
-    assert k.block_count(A, 0, K1) == 1
-    assert k.block_count(A, 1, K1) == 0
-    assert k.block_count(A, 1, K2) == 1
-
-
-def test_block_count_rejects_negative_index():
-    with pytest.raises(ValueError):
-        k.block_count(A, -1, K1)
+    assert k.block_counts(A, K1).get(0, 0) == 1
+    assert k.block_counts(A, K1).get(1, 0) == 0
+    assert k.block_counts(A, K2).get(1, 0) == 1
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PROFILES))
@@ -193,4 +186,4 @@ def test_blocks_partition_the_generating_set(name):
             if all(0 <= c < m for c in rest):
                 counted[first // m] = counted.get(first // m, 0) + 1
         for key, count in counted.items():
-            assert count == k.block_count(kind, key, profile)
+            assert count == k.block_counts(kind, profile).get(key, 0)

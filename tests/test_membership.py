@@ -53,15 +53,17 @@ def test_member_verdict_iff_no_drops():
 
 
 def test_discrepancy_examples():
-    assert k.is_discrepancy_point((1, 1), K1) is True
-    assert k.is_discrepancy_point((1, 2), K1) is False
-    assert k.is_discrepancy_point((0, 0), K1) is True
+    A = MaximalKind.ABSOLUTE
+    assert k.is_maximal_by_criterion((1, 1), A, K1) is True
+    assert k.is_maximal_by_criterion((1, 2), A, K1) is False
+    assert k.is_maximal_by_criterion((0, 0), A, K1) is True
 
 
 def test_relative_discrepancy_examples():
-    assert k.is_relative_discrepancy_point((1, 1), K1) is True
-    assert k.is_relative_discrepancy_point((2, 2, 2), K2_N3) is True
-    assert k.is_relative_discrepancy_point((0, 0, 0), K2_N3) is False
+    R = MaximalKind.RELATIVE
+    assert k.is_maximal_by_criterion((1, 1), R, K1) is True
+    assert k.is_maximal_by_criterion((2, 2, 2), R, K2_N3) is True
+    assert k.is_maximal_by_criterion((0, 0, 0), R, K2_N3) is False
 
 
 def test_maximal_by_criterion_examples():
@@ -105,7 +107,7 @@ def test_members_have_nonnegative_sum(name):
 def test_discrepancy_implies_member(name):
     profile = ALL_PROFILES[name]
     for a in window_points(SCAN_WINDOWS[name]):
-        if k.is_discrepancy_point(a, profile):
+        if k.is_maximal_by_criterion(a, MaximalKind.ABSOLUTE, profile):
             assert k.is_member(a, profile)
 
 
@@ -115,9 +117,9 @@ def test_discrepancy_implies_member(name):
 def test_absolute_equals_relative_when_n_is_2(name):
     profile = ALL_PROFILES[name]
     for a in window_points(SCAN_WINDOWS[name]):
-        assert k.is_discrepancy_point(a, profile) == k.is_relative_discrepancy_point(
-            a, profile
-        )
+        assert k.is_maximal_by_criterion(
+            a, MaximalKind.ABSOLUTE, profile
+        ) == k.is_maximal_by_criterion(a, MaximalKind.RELATIVE, profile)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PROFILES))

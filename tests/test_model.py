@@ -85,9 +85,9 @@ def test_all_fixture_profiles_validate(name):
 
 
 def test_preset_separable():
-    assert k.preset_separable(3, 2, 2).profile == K1
-    assert k.preset_separable(5, 3, 2).profile == K2
-    p = k.preset_separable(4, 2, 2).profile
+    assert k.preset_separable(3, 2, 2) == K1
+    assert k.preset_separable(5, 3, 2) == K2
+    p = k.preset_separable(4, 2, 2)
     assert (p.m, p.lambdas, p.n) == (4, (1, 1, -2), 2)
     assert k.validate(p).ok  # gcd(m, t) = 2 is fine
 
@@ -102,12 +102,11 @@ def test_preset_separable_rejects(args):
 
 
 def test_preset_xabns():
-    preset = k.preset_xabns(2, 2, 1, 3, 13, 2)
-    p = preset.profile
+    p = k.preset_xabns(2, 2, 1, 3, 13, 2)
     assert p.m == 5
     assert p.lambdas == (1, 1) + (5,) * 6 + (-32,)
     assert [k.beta(i, p) for i in range(1, 5)] == [1, 1, 0, 0]
-    assert k.preset_xabns(2, 2, 1, 3, 1, 2).profile.m == 65
+    assert k.preset_xabns(2, 2, 1, 3, 1, 2).m == 65
 
 
 @pytest.mark.parametrize(
@@ -127,11 +126,11 @@ def test_preset_xabns_rejects(args):
 
 
 def test_preset_yns():
-    p = k.preset_yns(2, 3, 3, 2).profile
+    p = k.preset_yns(2, 3, 3, 2)
     assert p.m == 3
     assert p.lambdas == (1, 1, 3, 3, -8)
     assert [k.beta(i, p) for i in (1, 2)] == [1, 0]
-    assert k.preset_yns(2, 3, 1, 2).profile.m == 9
+    assert k.preset_yns(2, 3, 1, 2).m == 9
 
 
 def test_preset_yns_rejects():
@@ -142,7 +141,7 @@ def test_preset_yns_rejects():
 
 
 def test_preset_beelen_montanucci():
-    p = k.preset_beelen_montanucci(2, 3, 2).profile
+    p = k.preset_beelen_montanucci(2, 3, 2)
     assert p.m == 9
     assert p.lambdas == (1, 1, 1, 3, -6)
     assert [k.beta(i, p) for i in range(1, 9)] == [3, 2, 1, 2, 1, 0, 1, 0]
@@ -160,26 +159,26 @@ def test_preset_bm_rejects():
 
 def test_separable_closed_form_all_residues():
     for m, t in [(3, 2), (5, 3), (4, 2), (7, 4), (6, 4)]:
-        p = k.preset_separable(m, t, 2).profile
+        p = k.preset_separable(m, t, 2)
         for i in range(1, m):
             assert k.beta(i, p) == separable_beta_closed_form(i, m, t)
 
 
 def test_xy_family_closed_form_all_residues():
-    p = k.preset_xabns(2, 2, 1, 3, 13, 2).profile
+    p = k.preset_xabns(2, 2, 1, 3, 13, 2)
     for i in range(1, p.m):
         assert k.beta(i, p) == xy_family_beta_closed_form(i, 4, 2, p.m)
-    y = k.preset_yns(2, 3, 3, 2).profile
+    y = k.preset_yns(2, 3, 3, 2)
     for i in range(1, y.m):
         assert k.beta(i, y) == xy_family_beta_closed_form(i, 2, 1, y.m)
-    y1 = k.preset_yns(2, 3, 1, 2).profile
+    y1 = k.preset_yns(2, 3, 1, 2)
     for i in range(1, y1.m):
         assert k.beta(i, y1) == xy_family_beta_closed_form(i, 2, 1, y1.m)
 
 
 def test_bm_closed_form_all_residues():
     for q, n_exp in [(2, 3), (3, 3)]:
-        p = k.preset_beelen_montanucci(q, n_exp, 2).profile
+        p = k.preset_beelen_montanucci(q, n_exp, 2)
         for i in range(1, p.m):
             assert k.beta(i, p) == bm_beta_closed_form(i, q, p.m)
 
@@ -194,7 +193,7 @@ def test_profile_json_round_trip():
     buf = io.StringIO()
     k.dump_profile(p, buf)
     buf.seek(0)
-    assert k.load_profile(buf) == p
+    assert k.profile_from_dict(json.load(buf)) == p
 
 
 def test_profile_json_minimal_fields():

@@ -1,12 +1,16 @@
 """The definitional brute-force oracle and its agreement with the
 explicit enumeration."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kummerws as k
 from kummerws.membership import MaximalKind
 
-from conftest import ALL_PROFILES, BM23, K1, K2, K2_N3, SCAN_WINDOWS
+from conftest import ALL_PROFILES, BM23, K1, K2, K2_N3, SCAN_WINDOWS, valid_profiles
 
 A = MaximalKind.ABSOLUTE
 R = MaximalKind.RELATIVE
@@ -28,6 +32,24 @@ def test_nabla_rejects_bad_subset():
 def test_nabla_budget_exceeded():
     with pytest.raises(k.BudgetExceeded):
         k.nabla_nonempty((10**6, 5), {2}, K1, budget=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_profiles(), st.data())
+def test_nabla_matches_wide_scan(profile, data):
+    """nabla_nonempty against a plain scan of a wider box: every free
+    coordinate runs from -(|alpha_1| + ... + |alpha_n|) - 3 up to
+    alpha_i - 1, with no coordinate-sum bound and no point skipped."""
+    n = profile.n
+    alpha = tuple(data.draw(st.lists(st.integers(-3, 5), min_size=n, max_size=n)))
+    J = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+    low = -sum(map(abs, alpha)) - 3
+    axes = [
+        (a,) if i in J else range(low, a)
+        for i, a in enumerate(alpha, start=1)
+    ]
+    expected = any(k.is_member(beta, profile) for beta in product(*axes))
+    assert k.nabla_nonempty(alpha, J, profile) is expected
 
 
 def test_definitional_examples():
