@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import kummerws as k
 from kummerws.arith import BetaTable, lambda_gcd
+from kummerws.maximal import _offsets
 
 from conftest import ALL_PROFILES, K1, K2
 
@@ -25,10 +26,39 @@ def test_beta_rejects_out_of_range_residue():
         k.beta(3, K1)
 
 
+def test_t_of_examples():
+    """t_k(i) = i*lambda_k mod m, the residue of the k-th coordinate on
+    residue branch i; zero on the m-multiples branch."""
+    p = k.RamificationProfile(5, (2, 2, -4), 2)
+    assert _offsets(p, 3)[0] == 1  # 6 mod 5
+    p2 = k.RamificationProfile(3, (-2, 1, 1), 2)
+    assert _offsets(p2, 1)[0] == 1  # -2 mod 3
+    assert _offsets(p2, 2)[1] == 2
+    assert _offsets(p2, None) == [0, 0]
+
+
 def test_unique_t_examples():
     assert k.unique_t((1, 1), K1) == 2
     assert k.unique_t((1, 2), K1) is None
     assert k.unique_t((0, 0), K1) == 0
+
+
+
+def test_per_coordinate_t_examples():
+    """The t solving alpha_k + t*lambda_k == 0 mod m at one place comes
+    from the compiled inverse of lambda_k; unique_t is their common value."""
+
+    def t_at(place, alpha, p):
+        c = p.compiled
+        return -alpha[place - 1] * c.inverses[place - 1] % c.m
+
+    assert K1.compiled.inverses == (1, 1)
+    assert t_at(1, (1, 0), K1) == 2
+    assert t_at(2, (1, 0), K1) == 0
+    assert k.unique_t((1, 0), K1) is None
+    assert t_at(2, (1, 2), K2) == 3
+    assert t_at(1, (2, 2), K2) == 3
+    assert k.unique_t((2, 2), K2) == 3
 
 
 @given(st.data())
@@ -82,6 +112,11 @@ def test_beta_table_matches_scalar_ops(name):
             for place in range(1, p.n + 1):
                 lam = p.lambdas[place - 1]
                 assert e.coords[place - 1] % p.m == e.residue * lam % p.m
+
+
+def test_mod_inverse():
+    """Compiling stores lambda_k^-1 mod m for each distinguished place."""
+    assert k.RamificationProfile(10, (3, 7, 1, -1), 2).compiled.inverses == (7, 3)
 
 
 def test_compile_rejects_non_invertible_lambda():
