@@ -12,8 +12,7 @@ the usual mathematical indexing; lattice point coordinates are stored in
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import gcd
 
 from .errors import ResidueOutOfRange, check_budget
@@ -66,20 +65,18 @@ def unique_t(alpha, profile):
     return ts.pop() if len(ts) == 1 else None
 
 
-@dataclass(frozen=True)
-class BetaTable:
+class BetaTable(namedtuple("BetaTable", "m beta")):
     """beta(i) for every residue of one profile, shared read-only by the
     enumeration kernels; beta[i] for i in 1..m-1, beta[0] is None."""
 
-    m: int
-    beta: tuple
+    __slots__ = ()
 
     @classmethod
     def build(cls, profile) -> "BetaTable":
         m = profile.m
         check_budget(m - 1, "beta table residues")
         c = profile.compiled
-        return cls(m=m, beta=(None, *(_beta(i, c) for i in range(1, m))))
+        return cls(m, (None, *(_beta(i, c) for i in range(1, m))))
 
 
 def lambda_gcd(profile) -> int:

@@ -8,8 +8,7 @@ dead lattice point is ever visited.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import product
 from math import comb
 
@@ -17,17 +16,17 @@ from .arith import BetaTable
 from .membership import MaximalKind
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "bounds")):
     """Closed per-coordinate integer intervals [lo_k, hi_k]."""
 
-    bounds: tuple  # of (lo, hi) pairs
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
-        for lo, hi in self.bounds:
+    def __new__(cls, bounds):
+        bounds = tuple(tuple(b) for b in bounds)  # of (lo, hi) pairs
+        for lo, hi in bounds:
             if lo > hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
+        return super().__new__(cls, bounds)
 
     @property
     def n(self) -> int:
@@ -47,11 +46,8 @@ class Window:
         return total
 
 
-@dataclass(frozen=True)
-class MaximalElement:
-    coords: tuple
-    residue: int  # branch residue i, or None for the m-multiples branch
-    js: tuple
+# residue: the branch residue i, or None for the m-multiples branch
+MaximalElement = namedtuple("MaximalElement", "coords residue js")
 
 
 def _sum_compositions(ranges, total):

@@ -7,7 +7,7 @@ data; no Riemann-Roch space is ever materialized.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 
 from .arith import unique_t
@@ -23,10 +23,8 @@ class Verdict(enum.Enum):
     NON_MEMBER_OUTSIDE_BOX = "NonMemberOutsideBox"
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: Verdict
-    drops: frozenset  # 1-based coordinates where the dimension drops
+# drops: the frozenset of 1-based coordinates where the dimension drops
+Classification = namedtuple("Classification", "verdict drops")
 
 
 class MaximalKind(enum.Enum):

@@ -9,7 +9,7 @@ totally ramified places.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
@@ -18,20 +18,19 @@ from .errors import BadPreset, InconsistentProfile
 
 MAX_PLACES = 10**6
 MAX_CHARACTERISTIC = 10**14  # primality by trial division takes sqrt(p) steps
+MAX_POWER_BITS = 4096  # presets print q^(2 nexp): far below 4300 digits
 
 
-@dataclass(frozen=True)
-class RamificationProfile:
-    m: int
-    lambdas: tuple
-    n: int
-    labels: tuple = None
-    field_info: tuple = None  # (p, q) when known
+class RamificationProfile(
+    namedtuple("RamificationProfile", "m lambdas n labels field_info")
+):
+    # no __slots__: the compiled cached_property needs an instance __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+    def __new__(cls, m, lambdas, n, labels=None, field_info=None):
+        # field_info is (p, q) when known
+        if labels is not None:
+            labels = tuple(labels)
+        return super().__new__(cls, m, tuple(lambdas), n, labels, field_info)
 
     @property
     def r(self) -> int:
@@ -43,15 +42,11 @@ class RamificationProfile:
         return CompiledProfile(self)
 
 
-@dataclass(frozen=True)
-class Violation:
-    severity: str  # "error" | "warning"
-    message: str
+Violation = namedtuple("Violation", "severity message")  # "error" | "warning"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -148,7 +143,8 @@ def genus(profile: RamificationProfile) -> int:
 #
 # The place-count cap and the n bounds come before the primality tests:
 # trial division of a large p or q would run for ages, and the cap refuses
-# any q > 1000 anyway.
+# any q > 1000 anyway.  Each power is bounded from bit lengths before it
+# is taken.
 
 
 def _checked(kind: str, profile: RamificationProfile) -> RamificationProfile:
@@ -161,7 +157,12 @@ def _checked(kind: str, profile: RamificationProfile) -> RamificationProfile:
 
 def _check_r(r: int) -> None:
     if r + 1 > MAX_PLACES:
-        raise BadPreset(f"preset would materialize {r + 1} places (cap {MAX_PLACES})")
+        raise BadPreset(f"preset would materialize more than {MAX_PLACES} places")
+
+
+def _check_power(base: int, exp: int, what: str) -> None:
+    if exp * base.bit_length() > MAX_POWER_BITS:
+        raise BadPreset(f"{what} would exceed {MAX_POWER_BITS} bits")
 
 
 def preset_separable(m: int, t: int, n: int) -> RamificationProfile:
@@ -209,6 +210,9 @@ def _kummer_family(q: int, d: int, n_exp: int, s: int, n: int, p: int):
     The caller has checked the place count q^2/d against the cap."""
     if n_exp < 3 or n_exp % 2 == 0:
         raise BadPreset(f"n_exp must be odd and >= 3, got {n_exp}")
+    if s < 1:
+        raise BadPreset(f"s must be >= 1, got {s}")
+    _check_power(q, 2 * n_exp, "q^(2*nexp)")
     top = q**n_exp + 1
     if top % (q + 1) != 0 or (top // (q + 1)) % s != 0:
         raise BadPreset(f"s={s} must divide (q^{n_exp}+1)/(q+1)")
@@ -224,6 +228,7 @@ def preset_xabns(
     """The maximal curves X_{a,b,n,s} over F_{q^{2n}} with q = p^a, d = p^b."""
     if not (1 <= b < a and a % b == 0):
         raise BadPreset(f"need b | a and b < a, got a={a}, b={b}")
+    _check_power(p, a, "q = p^a")
     q = p**a
     d = p**b
     if not 2 <= n <= p ** (a - b):  # q/d, and no division when p = 0
@@ -250,6 +255,7 @@ def preset_beelen_montanucci(q: int, n_exp: int, n: int) -> RamificationProfile:
     order q+1, one pole of order q^3 - q; exponent m = q^n + 1."""
     if n_exp < 3 or n_exp % 2 == 0:
         raise BadPreset(f"n_exp must be odd and >= 3, got {n_exp}")
+    _check_power(q, 2 * n_exp, "q^(2*nexp)")
     if not 2 <= n <= q + 1:
         raise BadPreset(f"n must satisfy 2 <= n <= q+1={q + 1}, got {n}")
     n_heavy = q * q - q - 1

@@ -10,7 +10,7 @@ empirically on every enumerated member in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, product
 
 from .arith import unique_t
@@ -88,23 +88,16 @@ def is_maximal_definitional(
     return True
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    alpha: tuple
-    in_formula: bool
-    in_oracle: bool
-    t: int  # common t, or None
-    criterion_sum: int  # ceiling/floor sum at t, or None
-    nabla_status: dict  # frozenset J -> nonempty?
+# t: the common t, or None; criterion_sum: the ceiling/floor sum at t, or
+# None; nabla_status: frozenset J -> nonempty?
+Mismatch = namedtuple(
+    "Mismatch", "alpha in_formula in_oracle t criterion_sum nabla_status"
+)
 
-
-@dataclass(frozen=True)
-class CrosscheckReport:
-    agree: bool
-    mismatches: tuple
-    window: Window
-    kind: MaximalKind
-    points_scanned: int = field(default=0, compare=False)
+CrosscheckReport = namedtuple(
+    "CrosscheckReport", "agree mismatches window kind points_scanned",
+    defaults=(0,),
+)
 
 
 def _evidence(alpha, profile, budget, cache):

@@ -218,6 +218,18 @@ HUGE_PRIME = "1000000000000000003"
      "places"),
     (["xabns", "--p", HUGE_PRIME, "--a", "2", "--b", "1", "--nexp", "3",
       "--s", "1", "--places", "2"], "places"),
+    # q^nexp and p^a are bounded from bit lengths before they are taken
+    (["yns", "--q", "2", "--nexp", "15001", "--s", "1", "--places", "2"], "bits"),
+    (["beelen-montanucci", "--q", "2", "--nexp", "15001", "--places", "2"],
+     "bits"),
+    (["xabns", "--p", "2", "--a", "100000000000", "--b", "1", "--nexp", "3",
+      "--s", "1", "--places", "2"], "bits"),
+    (["yns", "--q", "2", "--nexp", "3", "--s", "0", "--places", "2"], "s must"),
+    (["xabns", "--p", "2", "--a", "2", "--b", "1", "--nexp", "3", "--s", "0",
+      "--places", "2"], "s must"),
+    # the cap message must not print q*q, here far beyond 4300 digits
+    (["yns", "--q", "9" * 3000, "--nexp", "3", "--s", "1", "--places", "2"],
+     "places"),
 ])
 def test_preset_bad_parameters(capsys, argv, message):
     start = time.monotonic()

@@ -3,11 +3,12 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 import kummerws as k
 from kummerws.membership import MaximalKind
 
-from conftest import ALL_PROFILES, BM23, K1, K2, K2_N3, SCAN_WINDOWS
+from conftest import ALL_PROFILES, BM23, K1, K2, K2_N3, SCAN_WINDOWS, valid_profiles
 
 A = MaximalKind.ABSOLUTE
 R = MaximalKind.RELATIVE
@@ -187,3 +188,24 @@ def test_blocks_partition_the_generating_set(name):
                 counted[first // m] = counted.get(first // m, 0) + 1
         for key, count in counted.items():
             assert count == k.block_counts(kind, profile).get(key, 0)
+
+
+# S. J. Kim, Arch. Math. 62 (1994): at n = 2 the maximal elements in the
+# positive quadrant are the graph of a bijection between the gap sequences
+# of the two places, so there are exactly g of them.  The genus comes from
+# the Riemann-Hurwitz formula alone, sharing no code with beta or the
+# enumeration.  No analogue is stated for n >= 3.
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_profiles().map(lambda p: k.RamificationProfile(p.m, p.lambdas, 2)))
+def test_n2_maximal_count_is_the_genus(profile):
+    assert k.validate(profile).ok
+    g = k.genus(profile)
+    assert k.cardinality(A, profile) == g
+    assert len(k.enumerate_minimal_generating(A, profile)) == g
+
+
+def test_n2_maximal_count_is_the_genus_beelen_montanucci():
+    profile = k.preset_beelen_montanucci(9, 5, 2)
+    assert k.cardinality(A, profile) == k.genus(profile) == 2361636
