@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
@@ -247,6 +248,7 @@ def cmd_oracle(args):
     profile = _checked_profile(args.profile)
     kind = MaximalKind(args.kind)
     window = _parse_window(args.window, profile.n)
+    check_budget(window.size(), "oracle window points")
     report = oracle.crosscheck_window(kind, window, profile, budget=_budget(args))
     doc = {
         "agree": report.agree,
@@ -277,6 +279,7 @@ def cmd_oracle(args):
 # argument parsing
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="kummerws",

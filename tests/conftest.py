@@ -64,12 +64,16 @@ def bm_beta_closed_form(i: int, q: int, m: int) -> int:
 
 
 @st.composite
-def valid_profiles(draw):
-    """Random valid profiles: m in 2..40, r in 3..8, n in 2..4, lambdas
-    summing to 0 and drawn from a few values, so repeats are likely."""
-    m = draw(st.integers(2, 40))
-    r = draw(st.integers(3, 8))
-    n = draw(st.integers(2, min(4, r)))
+def valid_profiles(draw, n=None, max_m=40):
+    """Random valid profiles: m in 2..max_m, r in 3..8, n in 2..4 unless
+    given, lambdas summing to 0 and drawn from a few values, so repeats
+    are likely."""
+    m = draw(st.integers(2, max_m))
+    if n is None:
+        r = draw(st.integers(3, 8))
+        n = draw(st.integers(2, min(4, r)))
+    else:
+        r = draw(st.integers(max(3, n), 8))
     coprime = [x for x in range(-6, 7) if x and gcd(x, m) == 1]
     pool = draw(st.lists(st.sampled_from(coprime), min_size=1, max_size=3))
     # the last lambda balances the sum; it is distinguished when n = r

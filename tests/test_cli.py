@@ -342,3 +342,15 @@ def test_box_over_budget_exits_3(capsys, k1_path, command):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_oracle_window_over_budget_exits_3(capsys, k1_path):
+    """An oracle window of more than 10^7 points is refused before the
+    scan starts, whatever --budget allows per nabla query."""
+    start = time.monotonic()
+    code, out, err = run(capsys, "oracle", k1_path, "--kind", "absolute",
+                         "--window=0:100000,0:100000")
+    assert time.monotonic() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "oracle window points" in err

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from kummerws.cli import main
+from kummerws.cli import build_parser, main
 
 PROFILES = {
     "k2": {"m": 5, "lambdas": [1, 1, 1, -3], "n": 2},
@@ -95,12 +95,24 @@ def profile_paths(tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("line, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_golden(capsys, profile_paths, line, code, digest):
+def run_line(capsys, paths, line):
+    """(exit code, sha256 of stdout) of one command line."""
     try:
-        got = main(line.format(**profile_paths).split())
+        got = main(line.format(**paths).split())
     except SystemExit as exc:
         got = exc.code
-    out = capsys.readouterr().out
-    assert got == code
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    return got, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("line, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden(capsys, profile_paths, line, code, digest):
+    assert run_line(capsys, profile_paths, line) == (code, digest)
+
+
+def test_reused_parser_keeps_no_state(capsys, profile_paths):
+    """main builds its parser once per process; an argparse error and
+    every earlier call leave nothing behind for the next call."""
+    assert build_parser() is build_parser()
+    assert run_line(capsys, profile_paths, "maximal {k2} --kind absolute")[0] == 2
+    for line, code, digest in reversed(GOLDEN):
+        assert run_line(capsys, profile_paths, line) == (code, digest), line

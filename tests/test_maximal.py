@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kummerws as k
-from kummerws.membership import MaximalKind
+from kummerws.membership import MaximalKind, Verdict
 
 from conftest import ALL_PROFILES, BM23, K1, K2, K2_N3, SCAN_WINDOWS, valid_profiles
 
@@ -209,3 +210,59 @@ def test_n2_maximal_count_is_the_genus(profile):
 def test_n2_maximal_count_is_the_genus_beelen_montanucci():
     profile = k.preset_beelen_montanucci(9, 5, 2)
     assert k.cardinality(A, profile) == k.genus(profile) == 2361636
+
+
+def _gap_sequences(profile):
+    """G(P_1) and G(P_2) of an n = 2 profile, from the single-place drop
+    test on the axes; every gap lies below 2g."""
+    g = k.genus(profile)
+    first = {a for a in range(2 * g + 1) if k.ell_drop(1, (a, 0), profile)}
+    second = {b for b in range(2 * g + 1) if k.ell_drop(2, (0, b), profile)}
+    return first, second
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_profiles(n=2))
+def test_n2_generating_coordinates_are_the_gap_sequences(profile):
+    """Kim 1994: the positive maximal elements are the graph of a
+    bijection sigma: G(P_1) -> G(P_2)."""
+    first, second = _gap_sequences(profile)
+    pairs = coords(k.enumerate_minimal_generating(A, profile))
+    assert {a for a, _ in pairs} == first
+    assert {b for _, b in pairs} == second
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_profiles(n=2))
+def test_n2_pure_gaps_follow_the_sigma_rule(profile):
+    """Homma 1996, Homma-Kim 2001: the pure gaps are the (a, b) in
+    G(P_1) x G(P_2) with b < sigma(a) and a < sigma^-1(b)."""
+    first, second = _gap_sequences(profile)
+    sigma = dict(coords(k.enumerate_minimal_generating(A, profile)))
+    inverse = {b: a for a, b in sigma.items()}
+    expected = {
+        (a, b) for a in first for b in second if b < sigma[a] and a < inverse[b]
+    }
+    g = k.genus(profile)
+    box = k.Window(((0, 2 * g), (0, 2 * g)))
+    got = {
+        alpha for alpha, verdict in k.classify_window(box, profile)
+        if verdict is Verdict.PURE_GAP
+    }
+    assert got == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_degree_at_least_2g_is_a_member(n, data):
+    """Riemann-Roch: a divisor of degree >= 2g is non-special, so no place
+    drops; checked on every point of [0, 2g + 1]^n with sum >= 2g."""
+    profile = data.draw(
+        valid_profiles(n=n, max_m=6).filter(lambda p: k.genus(p) <= 5)
+    )
+    g = k.genus(profile)
+    box = k.Window(((0, 2 * g + 1),) * n)
+    for alpha, verdict in k.classify_window(box, profile):
+        if sum(alpha) >= 2 * g:
+            assert verdict is Verdict.MEMBER, alpha
